@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 
 use jvmsim_faults::FaultSite;
 use jvmsim_jvmti::{Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, ProbeKind};
-use jvmsim_vm::{AllocationView, ThreadId, TraceEventKind, TraceSink};
+use jvmsim_vm::{AgentThread, AllocationView, TraceEventKind, TraceSink};
 
 /// Capacity of the allocation-site table. A new site arriving at a full
 /// table (or a firing of the `alloc-site-overflow` fault) routes the
@@ -113,13 +113,13 @@ impl Agent for AllocAgent {
         Ok(())
     }
 
-    fn allocation(&self, thread: ThreadId, alloc: AllocationView<'_>) {
+    fn allocation(&self, thread: &mut AgentThread<'_>, alloc: AllocationView<'_>) {
         let Some(env) = self.env.get() else { return };
         // Self-timing span: every cycle below lands in the alloc_probe
         // bucket, and the span's measured cost feeds the probe histogram.
-        let _span = env.probe_span(thread, ProbeKind::Alloc);
-        env.charge(thread, env.costs().agent_logic);
-        let tick = env.timestamp_unaccounted(thread).cycles();
+        let _span = env.probe_span(thread.clock, ProbeKind::Alloc);
+        env.charge(thread.clock, env.costs().agent_logic);
+        let tick = env.timestamp_unaccounted(thread.clock).cycles();
         let mut t = self.table.lock();
         t.total_objects += 1;
         t.total_bytes += alloc.bytes;
@@ -140,11 +140,11 @@ impl Agent for AllocAgent {
         s.alloc_ticks += tick;
         drop(t);
         if let Some(trace) = self.trace.get() {
-            trace.record(thread, TraceEventKind::AllocSite, tick, None);
+            trace.record(thread.id, TraceEventKind::AllocSite, tick, None);
         }
     }
 
-    fn vm_death(&self) {
+    fn vm_death(&self, _threads: &mut [AgentThread<'_>]) {
         if let Some(env) = self.env.get() {
             self.death_tick.store(env.total_cycles(), Ordering::Relaxed);
         }

@@ -19,7 +19,7 @@ use jvmsim_jvmti::{
     Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, LedgerSnapshot, MonitorRow,
     ProbeKind, RawMonitor,
 };
-use jvmsim_vm::ThreadId;
+use jvmsim_vm::AgentThread;
 
 #[derive(Debug, Default)]
 struct LockTotals {
@@ -64,15 +64,15 @@ impl LockAgent {
     /// the paper's "overall profiling statistics … updated upon thread
     /// termination" pattern, which is precisely the traffic the ledger
     /// observes.
-    fn update_totals(&self, thread: ThreadId, start: bool) {
+    fn update_totals(&self, thread: &AgentThread<'_>, start: bool) {
         let (Some(env), Some(totals)) = (self.env.get(), self.totals.get()) else {
             return;
         };
-        let _span = env.probe_span(thread, ProbeKind::Lock);
-        let mut g = totals.enter(thread);
+        let _span = env.probe_span(thread.clock, ProbeKind::Lock);
+        let mut g = totals.enter(thread.clock);
         // The update itself costs cycles *while the monitor is held* —
         // this hold duration is what prices the next contended entry.
-        env.charge(thread, env.costs().agent_logic);
+        env.charge(thread.clock, env.costs().agent_logic);
         if start {
             g.thread_starts += 1;
         } else {
@@ -99,11 +99,11 @@ impl Agent for LockAgent {
         Ok(())
     }
 
-    fn thread_start(&self, thread: ThreadId) {
+    fn thread_start(&self, thread: &mut AgentThread<'_>) {
         self.update_totals(thread, true);
     }
 
-    fn thread_end(&self, thread: ThreadId) {
+    fn thread_end(&self, thread: &mut AgentThread<'_>) {
         self.update_totals(thread, false);
     }
 }

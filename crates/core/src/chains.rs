@@ -15,12 +15,10 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
-
 use jvmsim_jvmti::{
     Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, RawMonitor, ThreadLocalStorage,
 };
-use jvmsim_vm::{MethodView, ThreadId};
+use jvmsim_vm::{AgentThread, MethodView};
 
 /// One frame of a mixed call chain.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -97,7 +95,7 @@ struct ChainState {
 /// The call-chain profiling agent (§VII extension).
 pub struct ChainProfiler {
     env: OnceLock<JvmtiEnv>,
-    tls: OnceLock<ThreadLocalStorage<Mutex<Vec<Frame>>>>,
+    tls: OnceLock<ThreadLocalStorage<Vec<Frame>>>,
     state: OnceLock<RawMonitor<ChainState>>,
     watched: HashSet<(String, String)>,
     max_watched_hits: usize,
@@ -128,11 +126,11 @@ impl ChainProfiler {
         })
     }
 
-    fn stack(&self, thread: ThreadId) -> Arc<Mutex<Vec<Frame>>> {
+    fn stack<'t>(&self, thread: &'t mut AgentThread<'_>) -> &'t mut Vec<Frame> {
         self.tls
             .get()
             .expect("ChainProfiler used before attach")
-            .get_or_insert_with(thread, || Mutex::new(Vec::with_capacity(64)))
+            .get_or_insert_with(thread, || Vec::with_capacity(64))
     }
 
     /// The deepest chain observed anywhere (empty if the profiler was
@@ -175,16 +173,16 @@ impl Agent for ChainProfiler {
         Ok(())
     }
 
-    fn method_entry(&self, thread: ThreadId, method: MethodView<'_>) {
-        let env = self.env.get().expect("attached").clone();
+    fn method_entry(&self, thread: &mut AgentThread<'_>, method: MethodView<'_>) {
+        let env = self.env.get().expect("attached");
+        let clock = thread.clock;
         let stack = self.stack(thread);
-        let mut stack = stack.lock();
         stack.push(Frame {
             class: method.class_name.to_owned(),
             method: method.name.to_owned(),
             is_native: method.is_native,
         });
-        env.charge(thread, env.costs().agent_logic);
+        env.charge(clock, env.costs().agent_logic);
         let watched = self
             .watched
             .contains(&(method.class_name.to_owned(), method.name.to_owned()));
@@ -192,7 +190,7 @@ impl Agent for ChainProfiler {
             let state = self.state.get().expect("attached");
             // Charged: this monitor entry is on the measurement hot path,
             // so it must pay the raw-monitor cost like every other access.
-            let g = state.enter(thread);
+            let g = state.enter(clock);
             stack.len() > g.deepest.frames.len()
         };
         if watched || deeper {
@@ -200,7 +198,7 @@ impl Agent for ChainProfiler {
                 frames: stack.clone(),
             };
             let state = self.state.get().expect("attached");
-            let mut g = state.enter(thread);
+            let mut g = state.enter(clock);
             if chain.frames.len() > g.deepest.frames.len() {
                 g.deepest = chain.clone();
             }
@@ -210,14 +208,19 @@ impl Agent for ChainProfiler {
         }
     }
 
-    fn method_exit(&self, thread: ThreadId, _method: MethodView<'_>, _via_exception: bool) {
-        let env = self.env.get().expect("attached").clone();
-        let stack = self.stack(thread);
-        stack.lock().pop();
-        env.charge(thread, env.costs().agent_logic);
+    fn method_exit(
+        &self,
+        thread: &mut AgentThread<'_>,
+        _method: MethodView<'_>,
+        _via_exception: bool,
+    ) {
+        let env = self.env.get().expect("attached");
+        let clock = thread.clock;
+        self.stack(thread).pop();
+        env.charge(clock, env.costs().agent_logic);
     }
 
-    fn thread_end(&self, thread: ThreadId) {
+    fn thread_end(&self, thread: &mut AgentThread<'_>) {
         // Drop the thread's stack storage.
         if let Some(tls) = self.tls.get() {
             tls.remove(thread);

@@ -22,15 +22,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::Mutex;
-
 use jvmsim_instr::{bridge_class, NativeWrapperTransform, WrapperConfig};
 use jvmsim_jvmti::{
     Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, ProbeKind, RawMonitor,
     ThreadLocalStorage,
 };
+use jvmsim_pcl::Timestamp;
 use jvmsim_vm::cost::CostModel;
-use jvmsim_vm::{NativeLibrary, ThreadId, TraceEventKind, TraceSink, Value};
+use jvmsim_vm::{AgentThread, NativeLibrary, TraceEventKind, TraceSink, Value};
 
 use crate::stats::{Meter, NativeProfile, Side, TimeSplit};
 
@@ -136,20 +135,36 @@ struct TcIpa {
     in_native: bool,
 }
 
+impl TcIpa {
+    /// Bank the open span at `now` on the side the thread is executing.
+    fn close(&mut self, now: Timestamp) -> TimeSplit {
+        self.meter
+            .bank(Side::from_is_native(self.in_native), now, 0);
+        self.meter.split
+    }
+}
+
 #[derive(Debug, Default)]
 struct IpaTotals {
     split: TimeSplit,
     threads: Vec<(String, TimeSplit)>,
 }
 
+/// What the agent holds once attached.
+struct Attached {
+    env: JvmtiEnv,
+    tls: ThreadLocalStorage<TcIpa>,
+    totals: RawMonitor<IpaTotals>,
+    comp: Compensation,
+}
+
 /// The Improved Profiling Agent.
 pub struct IpaAgent {
+    /// Handed (upgraded, once) to the bridge natives and JNI interceptors
+    /// the agent installs at load.
     weak: Weak<IpaAgent>,
     config: IpaConfig,
-    env: OnceLock<JvmtiEnv>,
-    tls: OnceLock<ThreadLocalStorage<Mutex<TcIpa>>>,
-    totals: OnceLock<RawMonitor<IpaTotals>>,
-    comp: OnceLock<Compensation>,
+    attached: OnceLock<Attached>,
     /// Table II "JNI calls": intercepted N2J transitions.
     jni_calls: AtomicU64,
     /// Table II "native method calls": J2N transitions.
@@ -168,7 +183,7 @@ impl std::fmt::Debug for IpaAgent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IpaAgent")
             .field("config", &self.config)
-            .field("attached", &self.env.get().is_some())
+            .field("attached", &self.attached.get().is_some())
             .finish()
     }
 }
@@ -184,10 +199,7 @@ impl IpaAgent {
         Arc::new_cyclic(|weak| IpaAgent {
             weak: weak.clone(),
             config,
-            env: OnceLock::new(),
-            tls: OnceLock::new(),
-            totals: OnceLock::new(),
-            comp: OnceLock::new(),
+            attached: OnceLock::new(),
             jni_calls: AtomicU64::new(0),
             native_method_calls: AtomicU64::new(0),
             instrumentation_failures: AtomicU64::new(0),
@@ -199,12 +211,6 @@ impl IpaAgent {
     /// ignored, first-set wins — matching the VM's single-tracer model).
     pub fn set_trace_sink(&self, trace: Arc<dyn TraceSink>) {
         let _ = self.trace.set(trace);
-    }
-
-    fn trace_record(&self, thread: ThreadId, kind: TraceEventKind, now: jvmsim_pcl::Timestamp) {
-        if let Some(trace) = self.trace.get() {
-            trace.record(thread, kind, now.cycles(), None);
-        }
     }
 
     /// The static-instrumentation step (paper: "we resort to static
@@ -223,125 +229,87 @@ impl IpaAgent {
         archive.instrument(&transform)
     }
 
-    fn env(&self) -> &JvmtiEnv {
-        self.env.get().expect("IPA used before attach")
-    }
-
-    fn comp(&self) -> Compensation {
-        self.comp.get().copied().unwrap_or_default()
-    }
-
-    fn context(&self, thread: ThreadId) -> Arc<Mutex<TcIpa>> {
-        let env = self.env().clone();
-        self.tls
-            .get()
-            .expect("IPA used before attach")
-            .get_or_insert_with(thread, || {
-                Mutex::new(TcIpa {
-                    meter: Meter::new(env.timestamp(thread)),
-                    in_native: true,
-                })
-            })
+    fn attached(&self) -> &Attached {
+        self.attached.get().expect("IPA used before attach")
     }
 
     // ------------------------------------------------- transition probes
 
+    /// The body every transition probe shares: inside an IPA probe span,
+    /// fetch the thread context, read the timestamp, trace the transition,
+    /// bank the span ending here on `ended` (less `comp` cycles of
+    /// instrumentation), flip the thread's side and charge the agent logic.
+    fn transition(
+        &self,
+        thread: &mut AgentThread<'_>,
+        kind: TraceEventKind,
+        ended: Side,
+        comp: u64,
+    ) {
+        let a = self.attached();
+        let (id, clock) = (thread.id, thread.clock);
+        let _span = a.env.probe_span(clock, ProbeKind::Ipa);
+        let tc = a.context(thread);
+        let now = a.env.timestamp(clock);
+        if let Some(trace) = self.trace.get() {
+            trace.record(id, kind, now.cycles(), None);
+        }
+        tc.meter.bank(ended, now, comp);
+        tc.in_native = ended == Side::Bytecode;
+        a.env.charge(clock, a.env.costs().agent_logic);
+    }
+
     /// `J2N_Begin()` — called (via the bridge native) at the top of every
     /// generated native-method wrapper.
-    pub fn j2n_begin(&self, thread: ThreadId) {
+    pub fn j2n_begin(&self, thread: &mut AgentThread<'_>) {
         self.native_method_calls.fetch_add(1, Ordering::Relaxed);
-        let env = self.env().clone();
-        let _span = env.probe_span(thread, ProbeKind::Ipa);
-        let tc = self.context(thread);
-        let mut tc = tc.lock();
-        let now = env.timestamp(thread);
-        self.trace_record(thread, TraceEventKind::J2nBegin, now);
-        tc.meter.bank(Side::Bytecode, now, self.comp().j2n_begin);
-        tc.in_native = true;
-        env.charge(thread, env.costs().agent_logic);
+        let comp = self.attached().comp.j2n_begin;
+        self.transition(thread, TraceEventKind::J2nBegin, Side::Bytecode, comp);
     }
 
     /// `J2N_End()` — called in the wrapper's `finally`.
-    pub fn j2n_end(&self, thread: ThreadId) {
-        let env = self.env().clone();
-        let _span = env.probe_span(thread, ProbeKind::Ipa);
-        let tc = self.context(thread);
-        let mut tc = tc.lock();
-        let now = env.timestamp(thread);
-        self.trace_record(thread, TraceEventKind::J2nEnd, now);
-        tc.meter.bank(Side::Native, now, self.comp().j2n_end);
-        tc.in_native = false;
-        env.charge(thread, env.costs().agent_logic);
+    pub fn j2n_end(&self, thread: &mut AgentThread<'_>) {
+        let comp = self.attached().comp.j2n_end;
+        self.transition(thread, TraceEventKind::J2nEnd, Side::Native, comp);
     }
 
     /// `N2J_Begin()` — called by the intercepted JNI invocation functions
     /// before the actual call.
-    pub fn n2j_begin(&self, thread: ThreadId) {
+    pub fn n2j_begin(&self, thread: &mut AgentThread<'_>) {
         self.jni_calls.fetch_add(1, Ordering::Relaxed);
-        let env = self.env().clone();
-        let _span = env.probe_span(thread, ProbeKind::Ipa);
-        let tc = self.context(thread);
-        let mut tc = tc.lock();
-        let now = env.timestamp(thread);
-        self.trace_record(thread, TraceEventKind::N2jBegin, now);
-        tc.meter.bank(Side::Native, now, self.comp().n2j_begin);
-        tc.in_native = false;
-        env.charge(thread, env.costs().agent_logic);
+        let comp = self.attached().comp.n2j_begin;
+        self.transition(thread, TraceEventKind::N2jBegin, Side::Native, comp);
     }
 
     /// `N2J_End()` — called by the intercepted JNI functions after the
     /// call returns (or unwinds).
-    pub fn n2j_end(&self, thread: ThreadId) {
-        let env = self.env().clone();
-        let _span = env.probe_span(thread, ProbeKind::Ipa);
-        let tc = self.context(thread);
-        let mut tc = tc.lock();
-        let now = env.timestamp(thread);
-        self.trace_record(thread, TraceEventKind::N2jEnd, now);
-        tc.meter.bank(Side::Bytecode, now, self.comp().n2j_end);
-        tc.in_native = true;
-        env.charge(thread, env.costs().agent_logic);
+    pub fn n2j_end(&self, thread: &mut AgentThread<'_>) {
+        let comp = self.attached().comp.n2j_end;
+        self.transition(thread, TraceEventKind::N2jEnd, Side::Bytecode, comp);
     }
 
     /// Build the native library implementing the bridge class's four
     /// static natives.
-    fn bridge_library(&self) -> NativeLibrary {
+    fn bridge_library(&self, agent: &Arc<IpaAgent>) -> NativeLibrary {
         let class = self.config.wrapper.bridge_class.clone();
         let mut lib = NativeLibrary::new("nativeprof-ipa");
         fn probe(
-            weak: Weak<IpaAgent>,
-            f: fn(&IpaAgent, ThreadId),
+            agent: &Arc<IpaAgent>,
+            f: fn(&IpaAgent, &mut AgentThread<'_>),
         ) -> impl Fn(&mut jvmsim_vm::JniEnv<'_>, &[Value]) -> Result<Value, jvmsim_vm::JThrow>
                + Send
                + Sync
                + 'static {
+            let agent = Arc::clone(agent);
             move |env, _args| {
-                if let Some(agent) = weak.upgrade() {
-                    f(&agent, env.thread());
-                }
+                f(&agent, &mut env.agent_thread());
                 Ok(Value::Null)
             }
         }
-        lib.register_method(
-            &class,
-            "J2N_Begin",
-            probe(self.weak.clone(), IpaAgent::j2n_begin),
-        );
-        lib.register_method(
-            &class,
-            "J2N_End",
-            probe(self.weak.clone(), IpaAgent::j2n_end),
-        );
-        lib.register_method(
-            &class,
-            "N2J_Begin",
-            probe(self.weak.clone(), IpaAgent::n2j_begin),
-        );
-        lib.register_method(
-            &class,
-            "N2J_End",
-            probe(self.weak.clone(), IpaAgent::n2j_end),
-        );
+        lib.register_method(&class, "J2N_Begin", probe(agent, IpaAgent::j2n_begin));
+        lib.register_method(&class, "J2N_End", probe(agent, IpaAgent::j2n_end));
+        lib.register_method(&class, "N2J_Begin", probe(agent, IpaAgent::n2j_begin));
+        lib.register_method(&class, "N2J_End", probe(agent, IpaAgent::n2j_end));
         lib
     }
 
@@ -358,16 +326,35 @@ impl IpaAgent {
     /// the suite driver must be able to assemble partial results from
     /// quarantined cells.
     pub fn report(&self) -> NativeProfile {
-        let Some(totals) = self.totals.get() else {
+        let Some(a) = self.attached.get() else {
             return NativeProfile::default();
         };
-        let totals = totals.enter_unaccounted();
+        let totals = a.totals.enter_unaccounted();
         NativeProfile {
             total: totals.split,
             jni_calls: self.jni_calls.load(Ordering::Relaxed),
             native_method_calls: self.native_method_calls.load(Ordering::Relaxed),
             threads: totals.threads.clone(),
         }
+    }
+}
+
+impl Attached {
+    /// A thread context whose meter starts now ("we assume that each
+    /// thread initially executes native code").
+    fn fresh_context(&self, clock: &jvmsim_pcl::ClockHandle) -> TcIpa {
+        TcIpa {
+            meter: Meter::new(self.env.timestamp(clock)),
+            in_native: true,
+        }
+    }
+
+    /// The thread's context, allocated on demand (the primordial thread
+    /// gets no `ThreadStart`).
+    fn context<'t>(&self, thread: &'t mut AgentThread<'_>) -> &'t mut TcIpa {
+        let clock = thread.clock;
+        self.tls
+            .get_or_insert_with(thread, || self.fresh_context(clock))
     }
 }
 
@@ -393,19 +380,21 @@ impl Agent for IpaAgent {
         // Announce the wrapper prefix so the VM's native resolution retries
         // without it (JVMTI 1.1 native method prefixing).
         host.set_native_method_prefix(&self.config.wrapper.prefix)?;
+        // The natives and interceptors installed below live in the VM and
+        // hold the agent strongly; the agent holds no VM state, so no
+        // cycle forms.
+        let agent = self
+            .weak
+            .upgrade()
+            .expect("IPA is attached through its Arc");
         // Install the 90 JNI invocation wrappers.
-        let weak = self.weak.clone();
+        let interceptor_agent = Arc::clone(&agent);
         host.intercept_jni_functions(move |_key, original| {
-            let weak = weak.clone();
+            let agent = Arc::clone(&interceptor_agent);
             Arc::new(move |env, spec| {
-                let agent = weak.upgrade();
-                if let Some(a) = &agent {
-                    a.n2j_begin(env.thread());
-                }
+                agent.n2j_begin(&mut env.agent_thread());
                 let result = original(env, spec);
-                if let Some(a) = &agent {
-                    a.n2j_end(env.thread());
-                }
+                agent.n2j_end(&mut env.agent_thread());
                 result
             })
         })?;
@@ -415,7 +404,7 @@ impl Agent for IpaAgent {
             bridge.name().to_owned(),
             jvmsim_classfile::codec::encode(&bridge),
         )]);
-        host.load_agent_native_library(self.bridge_library());
+        host.load_agent_native_library(self.bridge_library(&agent));
 
         let env = host.env();
         let comp = if self.config.compensate {
@@ -423,67 +412,51 @@ impl Agent for IpaAgent {
         } else {
             Compensation::off()
         };
-        self.comp.set(comp).expect("IPA attached twice");
-        self.tls.set(env.create_tls()).expect("IPA attached twice");
-        self.totals
-            .set(env.create_raw_monitor("IPA totals", IpaTotals::default()))
-            .expect("IPA attached twice");
-        self.env.set(env).expect("IPA attached twice");
+        let attached = Attached {
+            tls: env.create_tls(),
+            totals: env.create_raw_monitor("IPA totals", IpaTotals::default()),
+            comp,
+            env,
+        };
+        if self.attached.set(attached).is_err() {
+            panic!("IPA attached twice");
+        }
         Ok(())
     }
 
-    fn thread_start(&self, thread: ThreadId) {
-        let env = self.env();
-        let tc = TcIpa {
-            meter: Meter::new(env.timestamp(thread)),
-            in_native: true,
-        };
-        self.tls
-            .get()
-            .expect("attached")
-            .put(thread, Arc::new(Mutex::new(tc)));
+    fn thread_start(&self, thread: &mut AgentThread<'_>) {
+        let a = self.attached();
+        let tc = a.fresh_context(thread.clock);
+        a.tls.put(thread, tc);
     }
 
-    fn thread_end(&self, thread: ThreadId) {
-        let env = self.env().clone();
+    fn thread_end(&self, thread: &mut AgentThread<'_>) {
+        let a = self.attached();
+        let clock = thread.clock;
         // Remove the context so a re-run (or a reused thread id) cannot
         // double-count the already-banked split.
-        let tc = self
+        let mut tc = a
             .tls
-            .get()
-            .expect("attached")
             .remove(thread)
-            .unwrap_or_else(|| self.context(thread));
-        let split = {
-            let mut tc = tc.lock();
-            let side = Side::from_is_native(tc.in_native);
-            let now = env.timestamp(thread);
-            tc.meter.bank(side, now, 0);
-            tc.meter.split
-        };
-        let totals = self.totals.get().expect("attached");
-        let mut g = totals.enter(thread);
+            .unwrap_or_else(|| a.fresh_context(clock));
+        let split = tc.close(a.env.timestamp(clock));
+        let mut g = a.totals.enter(clock);
         g.split.absorb(split);
-        g.threads.push((format!("{thread}"), split));
+        g.threads.push((format!("{}", thread.id), split));
     }
 
-    fn vm_death(&self) {
+    fn vm_death(&self, threads: &mut [AgentThread<'_>]) {
         // Statistics are exposed via `report()`. Fold in any thread that
-        // never saw ThreadEnd so no measured time is lost.
-        let tls = self.tls.get().expect("attached");
-        for (thread, tc) in tls.entries() {
-            let split = {
-                let mut tc = tc.lock();
-                let side = Side::from_is_native(tc.in_native);
-                let now = self.env().timestamp_unaccounted(thread);
-                tc.meter.bank(side, now, 0);
-                tc.meter.split
-            };
-            tls.remove(thread);
-            let totals = self.totals.get().expect("attached");
-            let mut g = totals.enter_unaccounted();
+        // never saw ThreadEnd so no measured time is lost, in thread-id
+        // order.
+        let a = self.attached();
+        for thread in threads.iter_mut().filter(|t| a.tls.is_set(t)) {
+            let now = a.env.timestamp_unaccounted(thread.clock);
+            let mut tc = a.tls.remove(thread).expect("slot is set");
+            let split = tc.close(now);
+            let mut g = a.totals.enter_unaccounted();
             g.split.absorb(split);
-            g.threads.push((format!("{thread}"), split));
+            g.threads.push((format!("{}", thread.id), split));
         }
     }
 

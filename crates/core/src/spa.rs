@@ -14,13 +14,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
-
 use jvmsim_jvmti::{
     Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError, ProbeKind, RawMonitor,
     ThreadLocalStorage,
 };
-use jvmsim_vm::{MethodView, ThreadId};
+use jvmsim_vm::{AgentThread, MethodView};
 
 use crate::stats::{Meter, NativeProfile, Side, TimeSplit};
 
@@ -33,6 +31,15 @@ struct TcSpa {
     stack: Vec<bool>,
 }
 
+impl TcSpa {
+    /// Bank the open span at `now` on the side the thread is executing.
+    fn close(&mut self, now: jvmsim_pcl::Timestamp) -> TimeSplit {
+        let in_native = self.stack.last().copied().unwrap_or(true);
+        self.meter.bank(Side::from_is_native(in_native), now, 0);
+        self.meter.split
+    }
+}
+
 /// Global profiling state, guarded by a raw monitor (§II-B c).
 #[derive(Debug, Default)]
 struct SpaTotals {
@@ -40,11 +47,16 @@ struct SpaTotals {
     threads: Vec<(String, TimeSplit)>,
 }
 
+/// What the agent holds once attached.
+struct Attached {
+    env: JvmtiEnv,
+    tls: ThreadLocalStorage<TcSpa>,
+    totals: RawMonitor<SpaTotals>,
+}
+
 /// The Simple Profiling Agent.
 pub struct SpaAgent {
-    env: OnceLock<JvmtiEnv>,
-    tls: OnceLock<ThreadLocalStorage<Mutex<TcSpa>>>,
-    totals: OnceLock<RawMonitor<SpaTotals>>,
+    attached: OnceLock<Attached>,
     /// Extension over Fig. 1: SPA sees every invocation anyway, so it can
     /// count native-method entries for free.
     native_entries: AtomicU64,
@@ -53,7 +65,7 @@ pub struct SpaAgent {
 impl std::fmt::Debug for SpaAgent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpaAgent")
-            .field("attached", &self.env.get().is_some())
+            .field("attached", &self.attached.get().is_some())
             .finish()
     }
 }
@@ -62,32 +74,13 @@ impl SpaAgent {
     /// Create the agent. Attach with [`jvmsim_jvmti::attach`].
     pub fn new() -> Arc<SpaAgent> {
         Arc::new(SpaAgent {
-            env: OnceLock::new(),
-            tls: OnceLock::new(),
-            totals: OnceLock::new(),
+            attached: OnceLock::new(),
             native_entries: AtomicU64::new(0),
         })
     }
 
-    fn env(&self) -> &JvmtiEnv {
-        self.env.get().expect("SPA used before attach")
-    }
-
-    fn tls(&self) -> &ThreadLocalStorage<Mutex<TcSpa>> {
-        self.tls.get().expect("SPA used before attach")
-    }
-
-    /// The paper's `GetThreadLocalStorage` helper: the thread context is
-    /// allocated on demand because the JVMTI "does not signal the
-    /// ThreadStart event for the bootstrapping thread" (§III).
-    fn context(&self, thread: ThreadId) -> Arc<Mutex<TcSpa>> {
-        let env = self.env().clone();
-        self.tls().get_or_insert_with(thread, || {
-            Mutex::new(TcSpa {
-                meter: Meter::new(env.timestamp(thread)),
-                stack: Vec::with_capacity(256),
-            })
-        })
+    fn attached(&self) -> &Attached {
+        self.attached.get().expect("SPA used before attach")
     }
 
     /// Final statistics (what Fig. 1's `VMDeath` prints).
@@ -95,16 +88,29 @@ impl SpaAgent {
     /// Reports an empty profile (instead of panicking) if the agent was
     /// never attached, so partial suite assembly stays survivable.
     pub fn report(&self) -> NativeProfile {
-        let Some(totals) = self.totals.get() else {
+        let Some(a) = self.attached.get() else {
             return NativeProfile::default();
         };
-        let totals = totals.enter_unaccounted();
+        let totals = a.totals.enter_unaccounted();
         NativeProfile {
             total: totals.split,
             jni_calls: 0, // SPA cannot attribute entries to JNI upcalls
             native_method_calls: self.native_entries.load(Ordering::Relaxed),
             threads: totals.threads.clone(),
         }
+    }
+}
+
+impl Attached {
+    /// The paper's `GetThreadLocalStorage` helper: the thread context is
+    /// allocated on demand because the JVMTI "does not signal the
+    /// ThreadStart event for the bootstrapping thread" (§III).
+    fn context<'t>(&self, thread: &'t mut AgentThread<'_>) -> &'t mut TcSpa {
+        let clock = thread.clock;
+        self.tls.get_or_insert_with(thread, || TcSpa {
+            meter: Meter::new(self.env.timestamp(clock)),
+            stack: Vec::with_capacity(256),
+        })
     }
 }
 
@@ -117,25 +123,28 @@ impl Agent for SpaAgent {
         host.enable_event(EventType::MethodExit)?;
         host.enable_event(EventType::VmDeath)?;
         let env = host.env();
-        self.tls.set(env.create_tls()).expect("SPA attached twice");
-        self.totals
-            .set(env.create_raw_monitor("SPA totals", SpaTotals::default()))
-            .expect("SPA attached twice");
-        self.env.set(env).expect("SPA attached twice");
+        let attached = Attached {
+            tls: env.create_tls(),
+            totals: env.create_raw_monitor("SPA totals", SpaTotals::default()),
+            env,
+        };
+        if self.attached.set(attached).is_err() {
+            panic!("SPA attached twice");
+        }
         Ok(())
     }
 
-    fn thread_start(&self, thread: ThreadId) {
+    fn thread_start(&self, thread: &mut AgentThread<'_>) {
         // Same construction as the lazy path; creating it here just makes
         // the meter start at the thread's first instant.
-        let _ = self.context(thread);
+        self.attached().context(thread);
     }
 
-    fn method_entry(&self, thread: ThreadId, method: MethodView<'_>) {
-        let env = self.env().clone();
-        let _span = env.probe_span(thread, ProbeKind::Spa);
-        let tc = self.context(thread);
-        let mut tc = tc.lock();
+    fn method_entry(&self, thread: &mut AgentThread<'_>, method: MethodView<'_>) {
+        let a = self.attached();
+        let clock = thread.clock;
+        let _span = a.env.probe_span(clock, ProbeKind::Spa);
+        let tc = a.context(thread);
         let is_native_m = method.is_native;
         if is_native_m {
             self.native_entries.fetch_add(1, Ordering::Relaxed);
@@ -143,71 +152,65 @@ impl Agent for SpaAgent {
         // "We assume that each thread initially executes native code."
         let is_native_caller = tc.stack.last().copied().unwrap_or(true);
         if is_native_m != is_native_caller {
-            let now = env.timestamp(thread);
+            let now = a.env.timestamp(clock);
             tc.meter
                 .bank(Side::from_is_native(is_native_caller), now, 0);
         }
         tc.stack.push(is_native_m);
-        env.charge(thread, env.costs().agent_logic);
+        a.env.charge(clock, a.env.costs().agent_logic);
     }
 
-    fn method_exit(&self, thread: ThreadId, method: MethodView<'_>, _via_exception: bool) {
-        let env = self.env().clone();
-        let _span = env.probe_span(thread, ProbeKind::Spa);
-        let tc = self.context(thread);
-        let mut tc = tc.lock();
+    fn method_exit(
+        &self,
+        thread: &mut AgentThread<'_>,
+        method: MethodView<'_>,
+        _via_exception: bool,
+    ) {
+        let a = self.attached();
+        let clock = thread.clock;
+        let _span = a.env.probe_span(clock, ProbeKind::Spa);
+        let tc = a.context(thread);
         // The reified stack tells us the implementation-type of the method
         // being left; for frames entered before the context existed
         // (bootstrap thread) fall back to the event's view.
         let is_native_m = tc.stack.pop().unwrap_or(method.is_native);
         let is_native_caller = tc.stack.last().copied().unwrap_or(true);
         if is_native_m != is_native_caller {
-            let now = env.timestamp(thread);
+            let now = a.env.timestamp(clock);
             tc.meter.bank(Side::from_is_native(is_native_m), now, 0);
         }
-        env.charge(thread, env.costs().agent_logic);
+        a.env.charge(clock, a.env.costs().agent_logic);
     }
 
-    fn thread_end(&self, thread: ThreadId) {
-        let env = self.env().clone();
+    fn thread_end(&self, thread: &mut AgentThread<'_>) {
+        let a = self.attached();
+        let clock = thread.clock;
         // Take the context out of TLS: the thread is done, and a future
         // thread reusing the id (or a re-run of the VM) must start fresh
         // rather than double-count the banked split.
-        let tc = self
-            .tls()
-            .remove(thread)
-            .unwrap_or_else(|| self.context(thread));
-        let split = {
-            let mut tc = tc.lock();
-            let in_native = tc.stack.last().copied().unwrap_or(true);
-            let now = env.timestamp(thread);
-            tc.meter.bank(Side::from_is_native(in_native), now, 0);
-            tc.meter.split
-        };
-        let totals = self.totals.get().expect("attached");
-        let mut g = totals.enter(thread);
+        let mut tc = a.tls.remove(thread).unwrap_or_else(|| TcSpa {
+            meter: Meter::new(a.env.timestamp(clock)),
+            stack: Vec::new(),
+        });
+        let split = tc.close(a.env.timestamp(clock));
+        let mut g = a.totals.enter(clock);
         g.split.absorb(split);
-        g.threads.push((format!("{thread}"), split));
+        g.threads.push((format!("{}", thread.id), split));
     }
 
-    fn vm_death(&self) {
+    fn vm_death(&self, threads: &mut [AgentThread<'_>]) {
         // Fig. 1 prints the statistics here; this port exposes them via
         // `report()` instead. Fold in any thread that never saw ThreadEnd
         // (defensive: the VM ends every thread it starts, but an agent must
-        // not lose data if one slips through).
-        for (thread, tc) in self.tls().entries() {
-            let split = {
-                let mut tc = tc.lock();
-                let in_native = tc.stack.last().copied().unwrap_or(true);
-                let now = self.env().timestamp_unaccounted(thread);
-                tc.meter.bank(Side::from_is_native(in_native), now, 0);
-                tc.meter.split
-            };
-            self.tls().remove(thread);
-            let totals = self.totals.get().expect("attached");
-            let mut g = totals.enter_unaccounted();
+        // not lose data if one slips through), in thread-id order.
+        let a = self.attached();
+        for thread in threads.iter_mut().filter(|t| a.tls.is_set(t)) {
+            let now = a.env.timestamp_unaccounted(thread.clock);
+            let mut tc = a.tls.remove(thread).expect("slot is set");
+            let split = tc.close(now);
+            let mut g = a.totals.enter_unaccounted();
             g.split.absorb(split);
-            g.threads.push((format!("{thread}"), split));
+            g.threads.push((format!("{}", thread.id), split));
         }
     }
 }

@@ -1,16 +1,18 @@
 //! The agent environment, agent trait, and attach protocol.
 
-use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use jvmsim_faults::{FaultInjector, FaultSite};
-use jvmsim_metrics::{Bucket, BucketGuard, CounterId, HistogramId, MetricsRegistry, MetricsShard};
-use jvmsim_pcl::{Pcl, Timestamp};
+use jvmsim_metrics::{Bucket, BucketGuard, CounterId, HistogramId, MetricsShard};
+use jvmsim_pcl::{ClockHandle, Pcl, Timestamp};
 use jvmsim_vm::cost::CostModel;
 use jvmsim_vm::jni::{JniCallKey, JniEntryFn};
-use jvmsim_vm::{AllocationView, EventMask, MethodView, NativeLibrary, ThreadId, Vm, VmEventSink};
+use jvmsim_vm::{
+    AgentThread, AllocationView, EventMask, MethodView, NativeLibrary, Vm, VmEventSink,
+};
 
 use crate::caps::{Capabilities, EventType};
 use crate::error::JvmtiError;
@@ -21,7 +23,9 @@ use crate::tls::ThreadLocalStorage;
 ///
 /// Cheap to clone; provides cycle-charged access to PCL timestamps,
 /// thread-local storage and raw monitors, mirroring the services the
-/// paper's C agents get from the real JVMTI + PCL.
+/// paper's C agents get from the real JVMTI + PCL. Thread-addressed
+/// services take the thread's [`ClockHandle`] (an event callback finds it
+/// in its [`AgentThread`]), so they charge and read the clock directly.
 #[derive(Clone)]
 pub struct JvmtiEnv {
     pcl: Pcl,
@@ -31,12 +35,11 @@ pub struct JvmtiEnv {
     /// it): timestamp reads are where per-thread clock anomalies surface
     /// to agents.
     faults: Arc<FaultInjector>,
-    /// The VM's metrics registry, if one was installed before attach —
-    /// probe spans attribute their cost through it.
-    metrics: Option<MetricsRegistry>,
     /// The raw-monitor observation plane (disabled unless the LOCK agent
     /// enabled it; every monitor this env creates registers here).
     monitors: Arc<MonitorLedger>,
+    /// Next thread-local storage key (one dense slot per key per thread).
+    tls_keys: Arc<AtomicUsize>,
 }
 
 impl std::fmt::Debug for JvmtiEnv {
@@ -48,19 +51,14 @@ impl std::fmt::Debug for JvmtiEnv {
 }
 
 impl JvmtiEnv {
-    fn new(
-        pcl: Pcl,
-        costs: Arc<CostModel>,
-        faults: Arc<FaultInjector>,
-        metrics: Option<MetricsRegistry>,
-    ) -> Self {
+    fn new(pcl: Pcl, costs: Arc<CostModel>, faults: Arc<FaultInjector>) -> Self {
         JvmtiEnv {
             pcl,
             costs,
             granted: Arc::new(RwLock::new(Capabilities::none())),
             faults,
-            metrics,
             monitors: Arc::new(MonitorLedger::new()),
+            tls_keys: Arc::new(AtomicUsize::new(0)),
         }
     }
 
@@ -74,65 +72,50 @@ impl JvmtiEnv {
         *self.granted.read()
     }
 
-    /// Charge `cycles` of agent work to `thread`'s clock.
-    pub fn charge(&self, thread: ThreadId, cycles: u64) {
-        if let Some(id) = self.pcl.clock_id(thread.index()) {
-            self.pcl.charge(id, cycles);
+    /// Charge `cycles` of agent work to the thread owning `clock`.
+    pub fn charge(&self, clock: &ClockHandle, cycles: u64) {
+        clock.charge(cycles);
+    }
+
+    /// Read the thread's cycle counter — `PCL.getTimestamp(Thread)` —
+    /// charging the read cost first (the read itself takes time, and that
+    /// time is visible to the next read, exactly like a real `rdtsc` pair).
+    pub fn timestamp(&self, clock: &ClockHandle) -> Timestamp {
+        clock.charge(self.costs.timestamp_read);
+        let ts = clock.timestamp();
+        // Fault plane: a clock step-back anomaly — this reading observes
+        // an instant *earlier* than the previous one. Agent meters must
+        // saturate such intervals to zero, not underflow (pinned by the
+        // chaos invariant checks).
+        if let Some(entropy) = self.faults.inject(FaultSite::ClockStepBack) {
+            return ts.rewound(entropy % 5_000 + 1);
         }
+        ts
     }
 
-    /// Read `thread`'s cycle counter — `PCL.getTimestamp(Thread)` — charging
-    /// the read cost first (the read itself takes time, and that time is
-    /// visible to the next read, exactly like a real `rdtsc` pair).
-    pub fn timestamp(&self, thread: ThreadId) -> Timestamp {
-        match self.pcl.clock_id(thread.index()) {
-            Some(id) => {
-                self.pcl.charge(id, self.costs.timestamp_read);
-                let ts = self.pcl.timestamp(id);
-                // Fault plane: a clock step-back anomaly — this reading
-                // observes an instant *earlier* than the previous one.
-                // Agent meters must saturate such intervals to zero, not
-                // underflow (pinned by the chaos invariant checks).
-                if let Some(entropy) = self.faults.inject(FaultSite::ClockStepBack) {
-                    return ts.rewound(entropy % 5_000 + 1);
-                }
-                ts
-            }
-            None => Timestamp::default(),
-        }
+    /// Read the thread's counter without charging (harness-side
+    /// inspection).
+    pub fn timestamp_unaccounted(&self, clock: &ClockHandle) -> Timestamp {
+        clock.timestamp()
     }
 
-    /// Read `thread`'s counter without charging (harness-side inspection).
-    pub fn timestamp_unaccounted(&self, thread: ThreadId) -> Timestamp {
-        self.pcl
-            .clock_id(thread.index())
-            .map(|id| self.pcl.timestamp(id))
-            .unwrap_or_default()
-    }
-
-    /// Open a self-timing probe span on `thread`: until the returned guard
-    /// drops, every cycle the thread's clock charges is attributed to the
-    /// probe's bucket rather than the workload, and on drop the span bumps
-    /// the probe counter and records its own cycle cost in the probe-cost
-    /// histogram. A no-op (still cheap and safe) without a metrics
-    /// registry.
+    /// Open a self-timing probe span on the thread owning `clock`: until
+    /// the returned guard drops, every cycle the clock charges is
+    /// attributed to the probe's bucket rather than the workload, and on
+    /// drop the span bumps the probe counter and records its own cycle
+    /// cost in the probe-cost histogram. A no-op (still cheap and safe)
+    /// when the clock mirrors no metric shard (no metrics registry).
     ///
     /// This is how probe cost self-attribution works: the probe bodies do
     /// not estimate their own overhead — the span measures it from the
     /// same virtual clock the workload runs on.
-    pub fn probe_span(&self, thread: ThreadId, kind: ProbeKind) -> ProbeSpan {
-        let state = self.metrics.as_ref().map(|metrics| {
-            let shard = metrics.shard(thread.index());
-            let guard = shard.enter(kind.bucket());
-            let start = self.timestamp_unaccounted(thread);
-            ProbeState {
-                pcl: self.pcl.clone(),
-                thread,
-                shard,
-                kind,
-                start,
-                _guard: guard,
-            }
+    pub fn probe_span<'a>(&self, clock: &'a ClockHandle, kind: ProbeKind) -> ProbeSpan<'a> {
+        let state = clock.metrics().map(|shard| ProbeState {
+            clock,
+            shard,
+            kind,
+            start: clock.timestamp(),
+            _guard: shard.enter(kind.bucket()),
         });
         ProbeSpan { state }
     }
@@ -157,9 +140,12 @@ impl JvmtiEnv {
         &self.monitors
     }
 
-    /// Allocate a thread-local storage map for agent data.
-    pub fn create_tls<T>(&self) -> ThreadLocalStorage<T> {
-        ThreadLocalStorage::new(self.clone())
+    /// Allocate a thread-local storage key for agent data.
+    pub fn create_tls<T: Send + 'static>(&self) -> ThreadLocalStorage<T> {
+        ThreadLocalStorage::new(
+            self.tls_keys.fetch_add(1, Ordering::Relaxed),
+            self.costs.tls_access,
+        )
     }
 
     /// Create a raw monitor protecting `initial`.
@@ -211,24 +197,23 @@ impl ProbeKind {
     }
 }
 
-struct ProbeState {
-    pcl: Pcl,
-    thread: ThreadId,
-    shard: Arc<MetricsShard>,
+struct ProbeState<'a> {
+    clock: &'a ClockHandle,
+    shard: &'a MetricsShard,
     kind: ProbeKind,
     start: Timestamp,
-    _guard: BucketGuard,
+    _guard: BucketGuard<'a>,
 }
 
 /// RAII guard for one probe activation (see [`JvmtiEnv::probe_span`]).
 /// Dropping it closes the attribution scope, counts the probe, and records
 /// the probe's measured cycle cost.
 #[must_use = "a probe span attributes cost only while it is alive"]
-pub struct ProbeSpan {
-    state: Option<ProbeState>,
+pub struct ProbeSpan<'a> {
+    state: Option<ProbeState<'a>>,
 }
 
-impl std::fmt::Debug for ProbeSpan {
+impl std::fmt::Debug for ProbeSpan<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProbeSpan")
             .field("active", &self.state.is_some())
@@ -236,14 +221,10 @@ impl std::fmt::Debug for ProbeSpan {
     }
 }
 
-impl Drop for ProbeSpan {
+impl Drop for ProbeSpan<'_> {
     fn drop(&mut self) {
         if let Some(state) = self.state.take() {
-            let end = state
-                .pcl
-                .clock_id(state.thread.index())
-                .map(|id| state.pcl.timestamp(id))
-                .unwrap_or_default();
+            let end = state.clock.timestamp();
             state.shard.incr(state.kind.counter());
             state
                 .shard
@@ -252,12 +233,27 @@ impl Drop for ProbeSpan {
     }
 }
 
+/// The set of events an agent enabled, one bit per [`EventType`].
+#[derive(Debug, Clone, Copy, Default)]
+struct EventSet(u8);
+
+impl EventSet {
+    fn insert(&mut self, event: EventType) {
+        self.0 |= 1 << event as u8;
+    }
+
+    #[inline]
+    fn contains(self, event: EventType) -> bool {
+        self.0 & (1 << event as u8) != 0
+    }
+}
+
 /// The `Agent_OnLoad` context: configuration that is only legal while the
 /// agent is being attached.
 pub struct AgentHost<'vm> {
     vm: &'vm mut Vm,
     env: JvmtiEnv,
-    enabled: HashSet<EventType>,
+    enabled: EventSet,
 }
 
 impl<'vm> AgentHost<'vm> {
@@ -380,7 +376,7 @@ impl<'vm> AgentHost<'vm> {
 
 /// A JVMTI agent. `on_load` is `Agent_OnLoad`; the event callbacks mirror
 /// the JVMTI event set. Only events the agent enabled during `on_load` are
-/// delivered.
+/// delivered, each with the [`AgentThread`] it happens on.
 pub trait Agent: Send + Sync + 'static {
     /// Agent initialization: request capabilities, enable events, install
     /// interceptors, stash the [`JvmtiEnv`].
@@ -391,64 +387,76 @@ pub trait Agent: Send + Sync + 'static {
     fn on_load(&self, host: &mut AgentHost<'_>) -> Result<(), JvmtiError>;
 
     /// `ThreadStart`.
-    fn thread_start(&self, _thread: ThreadId) {}
+    fn thread_start(&self, _thread: &mut AgentThread<'_>) {}
     /// `ThreadEnd`.
-    fn thread_end(&self, _thread: ThreadId) {}
+    fn thread_end(&self, _thread: &mut AgentThread<'_>) {}
     /// `MethodEntry`.
-    fn method_entry(&self, _thread: ThreadId, _method: MethodView<'_>) {}
+    fn method_entry(&self, _thread: &mut AgentThread<'_>, _method: MethodView<'_>) {}
     /// `MethodExit`.
-    fn method_exit(&self, _thread: ThreadId, _method: MethodView<'_>, _via_exception: bool) {}
-    /// `VMDeath`.
-    fn vm_death(&self) {}
+    fn method_exit(
+        &self,
+        _thread: &mut AgentThread<'_>,
+        _method: MethodView<'_>,
+        _via_exception: bool,
+    ) {
+    }
+    /// `VMDeath`, with every thread the VM created in id order (threads
+    /// that never saw `ThreadEnd` still hold their thread-local storage).
+    fn vm_death(&self, _threads: &mut [AgentThread<'_>]) {}
     /// `ClassFileLoadHook`: return replacement bytes to rewrite the class.
     fn class_file_load_hook(&self, _class_name: &str, _bytes: &[u8]) -> Option<Vec<u8>> {
         None
     }
-    /// `Allocation`: `thread` allocated one object.
-    fn allocation(&self, _thread: ThreadId, _alloc: AllocationView<'_>) {}
+    /// `Allocation`: the thread allocated one object.
+    fn allocation(&self, _thread: &mut AgentThread<'_>, _alloc: AllocationView<'_>) {}
 }
 
 /// Adapter delivering VM events to the agent, filtered by what it enabled.
 struct AgentSink {
     agent: Arc<dyn Agent>,
-    enabled: HashSet<EventType>,
+    enabled: EventSet,
 }
 
 impl VmEventSink for AgentSink {
-    fn thread_start(&self, thread: ThreadId) {
-        if self.enabled.contains(&EventType::ThreadStart) {
+    fn thread_start(&self, thread: &mut AgentThread<'_>) {
+        if self.enabled.contains(EventType::ThreadStart) {
             self.agent.thread_start(thread);
         }
     }
-    fn thread_end(&self, thread: ThreadId) {
-        if self.enabled.contains(&EventType::ThreadEnd) {
+    fn thread_end(&self, thread: &mut AgentThread<'_>) {
+        if self.enabled.contains(EventType::ThreadEnd) {
             self.agent.thread_end(thread);
         }
     }
-    fn vm_death(&self) {
-        if self.enabled.contains(&EventType::VmDeath) {
-            self.agent.vm_death();
+    fn vm_death(&self, threads: &mut [AgentThread<'_>]) {
+        if self.enabled.contains(EventType::VmDeath) {
+            self.agent.vm_death(threads);
         }
     }
-    fn method_entry(&self, thread: ThreadId, method: MethodView<'_>) {
-        if self.enabled.contains(&EventType::MethodEntry) {
+    fn method_entry(&self, thread: &mut AgentThread<'_>, method: MethodView<'_>) {
+        if self.enabled.contains(EventType::MethodEntry) {
             self.agent.method_entry(thread, method);
         }
     }
-    fn method_exit(&self, thread: ThreadId, method: MethodView<'_>, via_exception: bool) {
-        if self.enabled.contains(&EventType::MethodExit) {
+    fn method_exit(
+        &self,
+        thread: &mut AgentThread<'_>,
+        method: MethodView<'_>,
+        via_exception: bool,
+    ) {
+        if self.enabled.contains(EventType::MethodExit) {
             self.agent.method_exit(thread, method, via_exception);
         }
     }
     fn class_file_load(&self, class_name: &str, bytes: &[u8]) -> Option<Vec<u8>> {
-        if self.enabled.contains(&EventType::ClassFileLoadHook) {
+        if self.enabled.contains(EventType::ClassFileLoadHook) {
             self.agent.class_file_load_hook(class_name, bytes)
         } else {
             None
         }
     }
-    fn allocation(&self, thread: ThreadId, alloc: AllocationView<'_>) {
-        if self.enabled.contains(&EventType::Allocation) {
+    fn allocation(&self, thread: &mut AgentThread<'_>, alloc: AllocationView<'_>) {
+        if self.enabled.contains(EventType::Allocation) {
             self.agent.allocation(thread, alloc);
         }
     }
@@ -469,27 +477,22 @@ pub fn attach(vm: &mut Vm, agent: Arc<dyn Agent>) -> Result<JvmtiEnv, JvmtiError
             "an agent is already attached to this VM".into(),
         ));
     }
-    let env = JvmtiEnv::new(
-        vm.pcl(),
-        Arc::new(vm.cost().clone()),
-        vm.fault_injector(),
-        vm.metrics(),
-    );
+    let env = JvmtiEnv::new(vm.pcl(), Arc::new(vm.cost().clone()), vm.fault_injector());
     let mut host = AgentHost {
         vm,
         env: env.clone(),
-        enabled: HashSet::new(),
+        enabled: EventSet::default(),
     };
     agent.on_load(&mut host)?;
     let enabled = host.enabled;
     let mask = EventMask {
-        thread_events: enabled.contains(&EventType::ThreadStart)
-            || enabled.contains(&EventType::ThreadEnd),
-        method_events: enabled.contains(&EventType::MethodEntry)
-            || enabled.contains(&EventType::MethodExit),
-        vm_death: enabled.contains(&EventType::VmDeath),
-        class_file_load_hook: enabled.contains(&EventType::ClassFileLoadHook),
-        alloc_events: enabled.contains(&EventType::Allocation),
+        thread_events: enabled.contains(EventType::ThreadStart)
+            || enabled.contains(EventType::ThreadEnd),
+        method_events: enabled.contains(EventType::MethodEntry)
+            || enabled.contains(EventType::MethodExit),
+        vm_death: enabled.contains(EventType::VmDeath),
+        class_file_load_hook: enabled.contains(EventType::ClassFileLoadHook),
+        alloc_events: enabled.contains(EventType::Allocation),
     };
     vm.set_event_sink(Arc::new(AgentSink { agent, enabled }));
     vm.set_event_mask(mask);

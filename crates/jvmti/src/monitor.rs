@@ -21,7 +21,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::{Mutex, MutexGuard};
 
 use jvmsim_faults::FaultSite;
-use jvmsim_pcl::Timestamp;
+use jvmsim_pcl::{ClockHandle, Timestamp};
 use jvmsim_vm::{ThreadId, TraceEventKind, TraceSink};
 
 use crate::env::{JvmtiEnv, ProbeKind};
@@ -147,7 +147,8 @@ impl MonitorLedger {
     /// only while enabled. Charges modeled blocked cycles to the waiting
     /// thread inside a LOCK probe span, so the wait lands in the
     /// `lock_probe` attribution bucket.
-    fn note_enter(&self, env: &JvmtiEnv, id: usize, thread: ThreadId) {
+    fn note_enter(&self, env: &JvmtiEnv, id: usize, clock: &ClockHandle) {
+        let thread = ThreadId::from_index(clock.id().index());
         let blocked = {
             let mut g = self.inner.lock();
             let s = &mut g.monitors[id];
@@ -174,20 +175,20 @@ impl MonitorLedger {
             }
         };
         if let Some(blocked) = blocked {
-            let _span = env.probe_span(thread, ProbeKind::Lock);
-            env.charge(thread, blocked);
+            let _span = env.probe_span(clock, ProbeKind::Lock);
+            env.charge(clock, blocked);
             if let Some(trace) = self.trace.get() {
-                let now = env.timestamp_unaccounted(thread);
+                let now = env.timestamp_unaccounted(clock);
                 trace.record(thread, TraceEventKind::MonitorContend, now.cycles(), None);
             }
         }
     }
 
     /// Record a release: `thread` held monitor `id` for `held_cycles`.
-    fn note_release(&self, id: usize, thread: ThreadId, held_cycles: u64) {
+    fn note_release(&self, id: usize, thread: usize, held_cycles: u64) {
         let mut g = self.inner.lock();
         let s = &mut g.monitors[id];
-        s.last_owner = Some(thread.index());
+        s.last_owner = Some(thread);
         s.last_hold_cycles = held_cycles;
     }
 
@@ -257,30 +258,24 @@ impl<T> RawMonitor<T> {
         &self.name
     }
 
-    /// `RawMonitorEnter` on behalf of `thread`; the guard is
-    /// `RawMonitorExit`.
-    pub fn enter(&self, thread: ThreadId) -> MonitorGuard<'_, T> {
-        self.env.charge(thread, self.env.costs().raw_monitor);
+    /// `RawMonitorEnter` on behalf of the thread owning `clock`; the
+    /// guard is `RawMonitorExit`.
+    pub fn enter<'a>(&'a self, clock: &'a ClockHandle) -> MonitorGuard<'a, T> {
+        self.env.charge(clock, self.env.costs().raw_monitor);
         let ledger = self.env.monitor_ledger();
-        let release = if ledger.is_enabled() {
+        let enabled = ledger.is_enabled();
+        if enabled {
             // Contention is observed *before* acquiring, like a real
             // monitor: the entering thread sees the previous owner.
-            ledger.note_enter(&self.env, self.id, thread);
-            Some(ReleaseNote {
-                ledger: Arc::clone(ledger),
-                env: self.env.clone(),
-                id: self.id,
-                thread,
-                entered: Timestamp::default(),
-            })
-        } else {
-            None
-        };
+            ledger.note_enter(&self.env, self.id, clock);
+        }
         let guard = self.data.lock();
-        let release = release.map(|mut r| {
-            // Hold time starts once the lock is held, on the owner's clock.
-            r.entered = self.env.timestamp_unaccounted(thread);
-            r
+        // Hold time starts once the lock is held, on the owner's clock.
+        let release = enabled.then(|| ReleaseNote {
+            ledger,
+            id: self.id,
+            clock,
+            entered: clock.timestamp(),
         });
         MonitorGuard { release, guard }
     }
@@ -295,11 +290,10 @@ impl<T> RawMonitor<T> {
     }
 }
 
-struct ReleaseNote {
-    ledger: Arc<MonitorLedger>,
-    env: JvmtiEnv,
+struct ReleaseNote<'a> {
+    ledger: &'a MonitorLedger,
     id: usize,
-    thread: ThreadId,
+    clock: &'a ClockHandle,
     entered: Timestamp,
 }
 
@@ -310,7 +304,7 @@ struct ReleaseNote {
 pub struct MonitorGuard<'a, T> {
     // Declared before `guard` so the release note (which reads the clock
     // and locks the ledger) runs while the monitor is still held.
-    release: Option<ReleaseNote>,
+    release: Option<ReleaseNote<'a>>,
     guard: MutexGuard<'a, T>,
 }
 
@@ -330,9 +324,9 @@ impl<T> DerefMut for MonitorGuard<'_, T> {
 impl<T> Drop for MonitorGuard<'_, T> {
     fn drop(&mut self) {
         if let Some(r) = self.release.take() {
-            let now = r.env.timestamp_unaccounted(r.thread);
+            let now = r.clock.timestamp();
             r.ledger
-                .note_release(r.id, r.thread, now.cycles_since(r.entered));
+                .note_release(r.id, r.clock.id().index(), now.cycles_since(r.entered));
         }
     }
 }

@@ -5,92 +5,95 @@
 //! thread in thread-local storage, which enables efficient update without
 //! synchronization needs."
 //!
+//! The storage itself lives in the VM's thread table ([`AgentLocals`]):
+//! each thread carries one dense slot per TLS key, and an event callback
+//! reaches its thread's slots through the [`AgentThread`] it is handed —
+//! an index, not a lock or a hash lookup.
+//!
 //! Every access charges the configured TLS cost to the accessing thread's
 //! cycle clock, so agent bookkeeping shows up in the measurements exactly
 //! as the real JVMTI `GetThreadLocalStorage` calls would.
+//!
+//! [`AgentLocals`]: jvmsim_vm::AgentLocals
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::any::Any;
+use std::marker::PhantomData;
 
-use parking_lot::RwLock;
+use jvmsim_vm::AgentThread;
 
-use jvmsim_vm::ThreadId;
-
-use crate::env::JvmtiEnv;
-
-/// A per-thread map from [`ThreadId`] to an agent datastructure.
-///
-/// Values are `Arc<T>`; agents use interior mutability inside `T` (cells,
-/// atomics or locks), matching how a C agent treats the raw pointer JVMTI
-/// hands back.
+/// A typed thread-local storage key: one value of type `T` per thread.
 pub struct ThreadLocalStorage<T> {
-    env: JvmtiEnv,
-    map: RwLock<HashMap<ThreadId, Arc<T>>>,
+    key: usize,
+    /// The cost model's `tls_access`, charged once per access.
+    access_cycles: u64,
+    _value: PhantomData<fn() -> T>,
 }
 
 impl<T> std::fmt::Debug for ThreadLocalStorage<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadLocalStorage")
-            .field("threads", &self.map.read().len())
+            .field("key", &self.key)
             .finish()
     }
 }
 
-impl<T> ThreadLocalStorage<T> {
-    pub(crate) fn new(env: JvmtiEnv) -> Self {
+impl<T: Send + 'static> ThreadLocalStorage<T> {
+    pub(crate) fn new(key: usize, access_cycles: u64) -> Self {
         ThreadLocalStorage {
-            env,
-            map: RwLock::new(HashMap::new()),
+            key,
+            access_cycles,
+            _value: PhantomData,
         }
     }
 
-    /// `SetThreadLocalStorage`: associate `value` with `thread`.
-    pub fn put(&self, thread: ThreadId, value: Arc<T>) {
-        self.env.charge(thread, self.env.costs().tls_access);
-        self.map.write().insert(thread, value);
+    /// Charge one access to `thread` and return its slot for this key.
+    fn access<'t>(&self, thread: &'t mut AgentThread<'_>) -> &'t mut Option<Box<dyn Any + Send>> {
+        thread.clock.charge(self.access_cycles);
+        thread.locals.slot(self.key)
     }
 
-    /// `GetThreadLocalStorage`: fetch `thread`'s value, if set.
-    pub fn get(&self, thread: ThreadId) -> Option<Arc<T>> {
-        self.env.charge(thread, self.env.costs().tls_access);
-        self.map.read().get(&thread).cloned()
+    /// `SetThreadLocalStorage`: associate `value` with `thread`.
+    pub fn put(&self, thread: &mut AgentThread<'_>, value: T) {
+        *self.access(thread) = Some(Box::new(value));
+    }
+
+    /// `GetThreadLocalStorage`: `thread`'s value, if set.
+    pub fn get<'t>(&self, thread: &'t mut AgentThread<'_>) -> Option<&'t mut T> {
+        self.access(thread).as_mut().and_then(|v| v.downcast_mut())
     }
 
     /// The paper's `GetThreadLocalStorage` helper: fetch, allocating on
     /// demand — required because the JVMTI "does not signal the
-    /// ThreadStart event for the bootstrapping thread" (§III).
-    pub fn get_or_insert_with(&self, thread: ThreadId, make: impl FnOnce() -> T) -> Arc<T> {
-        if let Some(v) = self.get(thread) {
-            return v;
+    /// ThreadStart event for the bootstrapping thread" (§III). Charges one
+    /// access for the fetch and, when `make` runs, one more for the store.
+    pub fn get_or_insert_with<'t>(
+        &self,
+        thread: &'t mut AgentThread<'_>,
+        make: impl FnOnce() -> T,
+    ) -> &'t mut T {
+        let clock = thread.clock;
+        let slot = self.access(thread);
+        if slot.is_none() {
+            let value = make();
+            clock.charge(self.access_cycles);
+            *slot = Some(Box::new(value));
         }
-        let v = Arc::new(make());
-        self.put(thread, Arc::clone(&v));
-        v
+        slot.as_mut()
+            .and_then(|v| v.downcast_mut())
+            .expect("a TLS key holds values of its own type")
+    }
+
+    /// Whether `thread` holds a value, without charging it (harness-side
+    /// inspection, e.g. at `VMDeath` to find threads that never ended).
+    pub fn is_set(&self, thread: &AgentThread<'_>) -> bool {
+        thread.locals.is_set(self.key)
     }
 
     /// Remove and return `thread`'s value (used at `ThreadEnd`).
-    pub fn remove(&self, thread: ThreadId) -> Option<Arc<T>> {
-        self.env.charge(thread, self.env.costs().tls_access);
-        self.map.write().remove(&thread)
-    }
-
-    /// Snapshot of all live entries (e.g. at `VMDeath`, to fold in threads
-    /// that never terminated).
-    pub fn entries(&self) -> Vec<(ThreadId, Arc<T>)> {
-        self.map
-            .read()
-            .iter()
-            .map(|(&t, v)| (t, Arc::clone(v)))
-            .collect()
-    }
-
-    /// Number of threads with storage.
-    pub fn len(&self) -> usize {
-        self.map.read().len()
-    }
-
-    /// Is the storage empty?
-    pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+    pub fn remove(&self, thread: &mut AgentThread<'_>) -> Option<T> {
+        self.access(thread)
+            .take()
+            .and_then(|v| v.downcast().ok())
+            .map(|v| *v)
     }
 }

@@ -7,7 +7,7 @@ use std::sync::{Arc, OnceLock};
 use jvmsim_classfile::builder::{single_method_class, ClassBuilder};
 use jvmsim_classfile::MethodFlags;
 use jvmsim_jvmti::{attach, Agent, AgentHost, Capabilities, EventType, JvmtiEnv, JvmtiError};
-use jvmsim_vm::{MethodView, ThreadId, Value, Vm};
+use jvmsim_vm::{AgentThread, MethodView, Value, Vm};
 
 fn trivial_class() -> jvmsim_classfile::ClassFile {
     single_method_class("t/M", "main", "()V", |m| {
@@ -114,10 +114,10 @@ fn only_enabled_events_are_delivered() {
             // MethodExit deliberately NOT enabled.
             Ok(())
         }
-        fn method_entry(&self, _t: ThreadId, _m: MethodView<'_>) {
+        fn method_entry(&self, _t: &mut AgentThread<'_>, _m: MethodView<'_>) {
             self.entries.fetch_add(1, Ordering::Relaxed);
         }
-        fn method_exit(&self, _t: ThreadId, _m: MethodView<'_>, _e: bool) {
+        fn method_exit(&self, _t: &mut AgentThread<'_>, _m: MethodView<'_>, _e: bool) {
             self.exits.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -173,16 +173,17 @@ fn tls_and_monitor_charge_the_acting_thread() {
             self.env.set(host.env()).ok();
             Ok(())
         }
-        fn thread_end(&self, thread: ThreadId) {
+        fn thread_end(&self, thread: &mut AgentThread<'_>) {
             let env = self.env.get().unwrap();
-            let before = env.timestamp_unaccounted(thread);
+            let clock = thread.clock;
+            let before = env.timestamp_unaccounted(clock);
             let tls = env.create_tls::<u64>();
             let v = tls.get_or_insert_with(thread, || 7);
             assert_eq!(*v, 7);
             let mon = env.create_raw_monitor("stats", 0u64);
-            *mon.enter(thread) += 1;
-            let t1 = env.timestamp(thread);
-            let after = env.timestamp_unaccounted(thread);
+            *mon.enter(clock) += 1;
+            let t1 = env.timestamp(clock);
+            let after = env.timestamp_unaccounted(clock);
             assert!(
                 after.cycles() > before.cycles(),
                 "agent work must cost cycles"
@@ -204,58 +205,36 @@ fn tls_and_monitor_charge_the_acting_thread() {
 
 #[test]
 fn tls_lifecycle() {
-    let mut vm = Vm::new();
     struct Noop;
     impl Agent for Noop {
         fn on_load(&self, _h: &mut AgentHost<'_>) -> Result<(), JvmtiError> {
             Ok(())
         }
     }
+    let mut vm = Vm::new();
     let env = attach(&mut vm, Arc::new(Noop)).unwrap();
-    // Force thread 0 to exist so charging has a clock.
-    vm.add_classfile(&trivial_class());
-    vm.call_static("t/M", "main", "()V", vec![])
-        .unwrap()
-        .unwrap();
+    let pcl = jvmsim_pcl::Pcl::new();
+    let clock = pcl.handle(pcl.register_thread());
+    let mut locals = jvmsim_vm::AgentLocals::default();
+    let mut t0 = AgentThread {
+        id: jvmsim_vm::ThreadId::from_index(0),
+        clock: &clock,
+        locals: &mut locals,
+    };
 
     let tls = env.create_tls::<Vec<u64>>();
-    let t0 = ThreadId_from_index_for_test();
-    assert!(tls.is_empty());
-    assert!(tls.get(t0).is_none());
-    tls.put(t0, Arc::new(vec![1, 2]));
-    assert_eq!(tls.len(), 1);
-    assert_eq!(*tls.get(t0).unwrap(), vec![1, 2]);
-    let entries = tls.entries();
-    assert_eq!(entries.len(), 1);
-    let removed = tls.remove(t0).unwrap();
-    assert_eq!(*removed, vec![1, 2]);
-    assert!(tls.get(t0).is_none());
-}
-
-// ThreadId has no public constructor; recover the primordial thread's id
-// through an event. For pure TLS bookkeeping tests the main thread id is
-// index 0, obtained via a tiny agent run.
-#[allow(non_snake_case)]
-fn ThreadId_from_index_for_test() -> ThreadId {
-    use std::sync::Mutex;
-    static CAPTURED: Mutex<Option<ThreadId>> = Mutex::new(None);
-    struct Capture;
-    impl Agent for Capture {
-        fn on_load(&self, host: &mut AgentHost<'_>) -> Result<(), JvmtiError> {
-            host.enable_event(EventType::ThreadEnd)?;
-            Ok(())
-        }
-        fn thread_end(&self, thread: ThreadId) {
-            *CAPTURED.lock().unwrap() = Some(thread);
-        }
-    }
-    let mut vm = Vm::new();
-    vm.add_classfile(&trivial_class());
-    attach(&mut vm, Arc::new(Capture)).unwrap();
-    vm.run("t/M", "main", "()V", vec![]).unwrap();
-    let id = CAPTURED.lock().unwrap().expect("thread end fired");
-    assert_eq!(id.index(), 0);
-    id
+    let other = env.create_tls::<u64>();
+    assert!(!tls.is_set(&t0));
+    assert!(tls.get(&mut t0).is_none());
+    tls.put(&mut t0, vec![1, 2]);
+    other.put(&mut t0, 9);
+    assert!(tls.is_set(&t0));
+    tls.get(&mut t0).unwrap().push(3);
+    assert_eq!(*tls.get(&mut t0).unwrap(), vec![1, 2, 3]);
+    assert_eq!(tls.remove(&mut t0), Some(vec![1, 2, 3]));
+    assert!(tls.get(&mut t0).is_none());
+    // Keys are independent slots.
+    assert_eq!(other.remove(&mut t0), Some(9));
 }
 
 #[test]

@@ -571,14 +571,11 @@ impl MetricsShard {
 
     /// Attribute charges to `bucket` until the guard drops (scopes nest:
     /// dropping restores the previous attribution).
-    pub fn enter(self: &Arc<Self>, bucket: Bucket) -> BucketGuard {
+    pub fn enter(&self, bucket: Bucket) -> BucketGuard<'_> {
         let prev = self
             .current_bucket
             .swap(bucket.index() as u8, Ordering::Relaxed);
-        BucketGuard {
-            shard: Arc::clone(self),
-            prev,
-        }
+        BucketGuard { shard: self, prev }
     }
 
     /// Freeze this shard's contents.
@@ -600,12 +597,12 @@ impl MetricsShard {
 
 /// RAII bucket attribution scope (see [`MetricsShard::enter`]).
 #[derive(Debug)]
-pub struct BucketGuard {
-    shard: Arc<MetricsShard>,
+pub struct BucketGuard<'a> {
+    shard: &'a MetricsShard,
     prev: u8,
 }
 
-impl Drop for BucketGuard {
+impl Drop for BucketGuard<'_> {
     fn drop(&mut self) {
         self.shard
             .current_bucket

@@ -111,8 +111,9 @@ impl fmt::Display for Timestamp {
 /// The PCL registry: one virtual cycle counter per registered thread.
 ///
 /// Cloning is cheap (`Arc` inside); the VM and any number of agents share one
-/// instance. All operations are lock-free on the hot path (an atomic add per
-/// charge) — the `RwLock` only guards the registration vector.
+/// instance. A charge through the registry takes the registration lock for
+/// reading; hot paths hold a [`ClockHandle`] instead, whose charge is a
+/// single atomic add.
 #[derive(Clone, Default)]
 pub struct Pcl {
     inner: Arc<PclInner>,
@@ -120,12 +121,12 @@ pub struct Pcl {
 
 #[derive(Default)]
 struct PclInner {
-    clocks: RwLock<Vec<Arc<AtomicU64>>>,
-    /// Optional metric shard per clock (same index). When attached, every
-    /// charge is mirrored into the shard's current attribution bucket, so
-    /// the bucket totals sum to `total_cycles()` *exactly*. Mirroring never
-    /// charges cycles of its own.
-    shards: RwLock<Vec<Option<Arc<MetricsShard>>>>,
+    /// One handle per registered clock, indexed by [`ThreadClockId`]. A
+    /// handle carries the clock's metric shard once one is attached, so
+    /// every charge is mirrored into the shard's current attribution
+    /// bucket and the bucket totals sum to `total_cycles()` *exactly*.
+    /// Mirroring never charges cycles of its own.
+    clocks: RwLock<Vec<ClockHandle>>,
     clock_hz: AtomicU64,
 }
 
@@ -177,8 +178,11 @@ impl Pcl {
     pub fn register_thread(&self) -> ThreadClockId {
         let mut clocks = self.inner.clocks.write();
         let id = ThreadClockId(u32::try_from(clocks.len()).expect("too many thread clocks"));
-        clocks.push(Arc::new(AtomicU64::new(0)));
-        self.inner.shards.write().push(None);
+        clocks.push(ClockHandle {
+            clock: Arc::new(AtomicU64::new(0)),
+            shard: None,
+            id,
+        });
         id
     }
 
@@ -190,23 +194,19 @@ impl Pcl {
     ///
     /// Panics if `id` was not registered on this registry.
     pub fn attach_metrics(&self, id: ThreadClockId, shard: Arc<MetricsShard>) {
-        let mut shards = self.inner.shards.write();
-        let slot = shards
+        let mut clocks = self.inner.clocks.write();
+        let handle = clocks
             .get_mut(id.index())
             .unwrap_or_else(|| panic!("unregistered {id}"));
-        *slot = Some(shard);
+        handle.shard = Some(shard);
     }
 
-    fn shard(&self, id: ThreadClockId) -> Option<Arc<MetricsShard>> {
-        self.inner.shards.read().get(id.index()).cloned().flatten()
-    }
-
-    fn clock(&self, id: ThreadClockId) -> Arc<AtomicU64> {
+    /// Run `f` on `id`'s handle under the registration lock.
+    fn with_handle<R>(&self, id: ThreadClockId, f: impl FnOnce(&ClockHandle) -> R) -> R {
         let clocks = self.inner.clocks.read();
-        clocks
+        f(clocks
             .get(id.index())
-            .unwrap_or_else(|| panic!("unregistered {id}"))
-            .clone()
+            .unwrap_or_else(|| panic!("unregistered {id}")))
     }
 
     /// Advance thread `id`'s counter by `cycles`.
@@ -216,10 +216,7 @@ impl Pcl {
     /// Panics if `id` was not returned by [`Pcl::register_thread`] on this
     /// registry.
     pub fn charge(&self, id: ThreadClockId, cycles: u64) {
-        self.clock(id).fetch_add(cycles, Ordering::Relaxed);
-        if let Some(shard) = self.shard(id) {
-            shard.charge(cycles);
-        }
+        self.with_handle(id, |h| h.charge(cycles));
     }
 
     /// Read thread `id`'s cycle counter — the paper's
@@ -229,7 +226,7 @@ impl Pcl {
     ///
     /// Panics if `id` was not registered on this registry.
     pub fn timestamp(&self, id: ThreadClockId) -> Timestamp {
-        Timestamp(self.clock(id).load(Ordering::Relaxed))
+        self.with_handle(id, ClockHandle::timestamp)
     }
 
     /// Convert a cycle count to seconds at this registry's clock frequency.
@@ -244,19 +241,8 @@ impl Pcl {
             .clocks
             .read()
             .iter()
-            .map(|c| c.load(Ordering::Relaxed))
+            .map(ClockHandle::cycles)
             .sum()
-    }
-
-    /// Look up the clock id registered at `index`, if any. Thread tables
-    /// that register clocks in creation order (as the VM does) can map
-    /// their own indices back to clock ids with this.
-    pub fn clock_id(&self, index: usize) -> Option<ThreadClockId> {
-        if index < self.thread_count() {
-            Some(ThreadClockId(index as u32))
-        } else {
-            None
-        }
     }
 
     /// A cheap handle that charges one fixed clock without registry lookup.
@@ -264,11 +250,7 @@ impl Pcl {
     /// The VM's interpreter loop holds one of these per running thread so the
     /// per-instruction charge is a single relaxed atomic add.
     pub fn handle(&self, id: ThreadClockId) -> ClockHandle {
-        ClockHandle {
-            clock: self.clock(id),
-            shard: self.shard(id),
-            id,
-        }
+        self.with_handle(id, ClockHandle::clone)
     }
 }
 

@@ -96,6 +96,9 @@ pub(crate) struct Conn {
     /// connections deregister: level-triggered HUP would busy-wake the
     /// loop for the whole execution otherwise.)
     pub(crate) registered: bool,
+    /// Tick of this connection's pending timer-wheel candidate (see
+    /// [`TimerWheel::arm`](crate::timer::TimerWheel::arm)).
+    pub(crate) armed: Option<u64>,
     /// Ledger class of the queued response, booked when the write
     /// resolves (written → this; torn → `Dropped`).
     pub(crate) outcome: Option<OutcomeClass>,
@@ -123,6 +126,7 @@ impl Conn {
             abandoned: None,
             close_requested: false,
             registered: false,
+            armed: None,
             outcome: None,
             close_after_write: false,
             peer_gone: false,

@@ -511,10 +511,11 @@ impl EventLoop {
             return;
         }
         conn.registered = true;
+        self.wheel
+            .arm(&mut conn.armed, slot, now + self.shared.idle);
         self.conns[slot] = Some(conn);
         self.live += 1;
         shard.gauge_max(GaugeId::ServeOpenConnsHighwater, self.live as u64);
-        self.wheel.schedule(slot, now + self.shared.idle);
     }
 
     fn dispatch_event(&mut self, event: Event) {
@@ -595,7 +596,7 @@ impl EventLoop {
                         // not the idle cutoff: arm a candidate at the new
                         // due time (matters when idle > deadline).
                         let due = conn.started + self.shared.deadline;
-                        self.wheel.schedule(slot, due);
+                        self.wheel.arm(&mut conn.armed, slot, due);
                     }
                     return;
                 }
@@ -840,7 +841,7 @@ impl EventLoop {
                 conn.abandoned = Some(abandoned);
                 let due = conn.started + shared.deadline;
                 self.tokens.insert(token, slot);
-                self.wheel.schedule(slot, due);
+                self.wheel.arm(&mut conn.armed, slot, due);
                 // Deregister while in flight: level-triggered readiness on
                 // a half-closed socket would busy-wake the loop otherwise.
                 self.update_interest(slot);
@@ -900,20 +901,20 @@ impl EventLoop {
     /// A fired timer candidate. Dueness is lazily re-checked against the
     /// connection's actual clock — stale candidates re-arm, due ones act.
     fn check_deadline(&mut self, slot: usize, now: Instant) {
-        let (due, phase) = {
-            let Some(conn) = self.conns[slot].as_ref() else {
+        let phase = {
+            let Some(conn) = self.conns[slot].as_mut() else {
                 return;
             };
             let due = match conn.phase {
                 Phase::Idle => conn.started + self.shared.idle,
                 _ => conn.started + self.shared.deadline,
             };
-            (due, conn.phase)
+            if now < due {
+                self.wheel.arm(&mut conn.armed, slot, due);
+                return;
+            }
+            conn.phase
         };
-        if now < due {
-            self.wheel.schedule(slot, due);
-            return;
-        }
         match phase {
             // Idle cutoff: no request in it, nothing to account.
             Phase::Idle => self.close_silent(slot),
@@ -1030,8 +1031,9 @@ impl EventLoop {
                 let now = Instant::now();
                 if let Some(conn) = self.conns[slot].as_mut() {
                     conn.finish_request(now);
+                    self.wheel
+                        .arm(&mut conn.armed, slot, now + self.shared.idle);
                 }
-                self.wheel.schedule(slot, now + self.shared.idle);
                 self.update_interest(slot);
             }
         }

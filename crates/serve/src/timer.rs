@@ -10,10 +10,12 @@
 //! Deadlines move constantly (every response re-arms the idle cutoff),
 //! so the wheel never cancels: it fires *candidates*, and the caller
 //! re-checks the connection's actual due time — a stale entry is simply
-//! re-scheduled at the real deadline. One connection can therefore have
-//! several entries in flight; only the one matching its current due time
-//! triggers an action. This lazy-re-check pattern trades a few spurious
-//! wakeups for zero bookkeeping on the hot path.
+//! re-scheduled at the real deadline. This lazy-re-check pattern trades a
+//! few spurious wakeups for zero bookkeeping on the hot path. To keep the
+//! wheel bounded, each connection remembers the tick of its pending
+//! candidate ([`TimerWheel::arm`]) and a new candidate is pushed only
+//! when it would fire earlier: on a keep-alive connection deadlines only
+//! move later, so it holds one live candidate, not one per request.
 
 use std::time::{Duration, Instant};
 
@@ -57,11 +59,26 @@ impl TimerWheel {
 
     /// Schedule `key` to fire once `due` has passed (possibly earlier —
     /// the caller re-checks; never later than one tick after `due`).
-    pub(crate) fn schedule(&mut self, key: usize, due: Instant) {
+    /// Returns the tick the candidate fires at.
+    pub(crate) fn schedule(&mut self, key: usize, due: Instant) -> u64 {
         let tick = self.tick_index(due).max(self.cursor);
         let slot = (tick % self.slots.len() as u64) as usize;
         self.slots[slot].push(Entry { key, tick });
         self.len += 1;
+        tick
+    }
+
+    /// [`schedule`](Self::schedule) `key` at `due` unless `armed` — the
+    /// tick of the key's last candidate — is still in the wheel and fires
+    /// no later: that candidate's lazy re-check re-arms at the real due
+    /// time, so a second one would only be waste.
+    pub(crate) fn arm(&mut self, armed: &mut Option<u64>, key: usize, due: Instant) {
+        let tick = self.tick_index(due).max(self.cursor);
+        // Every entry below the cursor has fired (`expired` sweeps them).
+        if armed.is_some_and(|t| t >= self.cursor && t <= tick) {
+            return;
+        }
+        *armed = Some(self.schedule(key, due));
     }
 
     /// Advance to `now` and collect every candidate whose tick elapsed.
@@ -182,6 +199,34 @@ mod tests {
         fired.sort_unstable();
         assert_eq!(fired, (0..16).collect::<Vec<_>>());
         assert_eq!(wheel.len(), 0);
+    }
+
+    #[test]
+    fn keep_alive_requests_keep_one_live_candidate() {
+        // The event loop's arming sequence over 1 000 requests on one
+        // keep-alive connection, a millisecond apart: accept arms the idle
+        // cutoff; each request arms its deadline at dispatch and the next
+        // idle cutoff once its response is written.
+        let (idle, deadline) = (Duration::from_secs(30), Duration::from_secs(30));
+        let mut wheel = TimerWheel::new(Duration::from_millis(10), 256);
+        let mut armed = None;
+        let start = Instant::now();
+        wheel.arm(&mut armed, 0, start + idle);
+        for i in 1..=1_000 {
+            let now = start + Duration::from_millis(i);
+            assert!(wheel.expired(now).is_empty());
+            wheel.arm(&mut armed, 0, now + deadline);
+            wheel.arm(&mut armed, 0, now + idle);
+            assert!(wheel.len() <= 2, "request {i}: {} candidates", wheel.len());
+        }
+        // An earlier deadline still gets its own candidate.
+        let now = start + Duration::from_millis(1_001);
+        wheel.arm(&mut armed, 0, now);
+        assert_eq!(wheel.len(), 2);
+        assert_eq!(wheel.expired(now + Duration::from_millis(20)), vec![0]);
+        // Once fired, the next arm schedules afresh.
+        wheel.arm(&mut armed, 0, now + idle);
+        assert_eq!(wheel.len(), 2);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! Keeping the trait here breaks the dependency cycle: the VM knows only
 //! about an abstract sink, never about agents.
 
+use std::any::Any;
 use std::fmt;
+
+use jvmsim_pcl::ClockHandle;
 
 use crate::klass::MethodId;
 
@@ -30,6 +33,52 @@ impl fmt::Display for ThreadId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "thread#{}", self.0)
     }
+}
+
+/// The attached agent's thread-local storage on one thread: one dense slot
+/// per TLS key, the analogue of the `void*` JVMTI keeps per environment
+/// and thread. The VM owns it (in its thread table), so event delivery
+/// reaches it through the thread index — no lock, no hash.
+#[derive(Default)]
+pub struct AgentLocals {
+    slots: Vec<Option<Box<dyn Any + Send>>>,
+}
+
+impl fmt::Debug for AgentLocals {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AgentLocals")
+            .field("set", &self.slots.iter().filter(|s| s.is_some()).count())
+            .finish()
+    }
+}
+
+impl AgentLocals {
+    /// Whether the slot for TLS key `key` holds a value.
+    pub fn is_set(&self, key: usize) -> bool {
+        self.slots.get(key).is_some_and(Option::is_some)
+    }
+
+    /// The slot for TLS key `key`, grown on first use.
+    pub fn slot(&mut self, key: usize) -> &mut Option<Box<dyn Any + Send>> {
+        if key >= self.slots.len() {
+            self.slots.resize_with(key + 1, || None);
+        }
+        &mut self.slots[key]
+    }
+}
+
+/// The thread an event is delivered on, as the agent sees it: its id, its
+/// PCL clock and the agent's thread-local storage on it. Borrowed from the
+/// VM's thread table for the duration of one callback.
+#[derive(Debug)]
+pub struct AgentThread<'a> {
+    /// The thread's id.
+    pub id: ThreadId,
+    /// The thread's cycle clock (charges through it mirror into the
+    /// thread's metric shard).
+    pub clock: &'a ClockHandle,
+    /// The agent's thread-local storage on this thread.
+    pub locals: &'a mut AgentLocals,
 }
 
 /// Lightweight view of a method passed to event callbacks — the analogue of
@@ -110,20 +159,29 @@ pub struct AllocationView<'a> {
 /// Receiver of VM events. All methods have empty defaults so sinks override
 /// only what they enable.
 ///
-/// Callbacks take `&self`: agents keep their state behind interior
-/// mutability, exactly like a C JVMTI agent keeps globals behind raw
-/// monitors. Callbacks must not re-enter the VM.
+/// Callbacks take `&self` plus the [`AgentThread`] the event happens on:
+/// per-thread agent state lives in that thread's [`AgentLocals`], shared
+/// state behind interior mutability, exactly like a C JVMTI agent keeps
+/// thread-local storage per thread and globals behind raw monitors.
+/// Callbacks must not re-enter the VM.
 pub trait VmEventSink: Send + Sync {
     /// A new thread is about to execute its initial method.
-    fn thread_start(&self, _thread: ThreadId) {}
+    fn thread_start(&self, _thread: &mut AgentThread<'_>) {}
     /// A thread finished its initial method (normally or exceptionally).
-    fn thread_end(&self, _thread: ThreadId) {}
-    /// The VM is terminating; no events follow.
-    fn vm_death(&self) {}
+    fn thread_end(&self, _thread: &mut AgentThread<'_>) {}
+    /// The VM is terminating; no events follow. `threads` holds every
+    /// thread the VM created, in [`ThreadId`] order.
+    fn vm_death(&self, _threads: &mut [AgentThread<'_>]) {}
     /// `thread` is entering `method` (bytecode *or* native).
-    fn method_entry(&self, _thread: ThreadId, _method: MethodView<'_>) {}
+    fn method_entry(&self, _thread: &mut AgentThread<'_>, _method: MethodView<'_>) {}
     /// `thread` is leaving `method`, by return or by exception.
-    fn method_exit(&self, _thread: ThreadId, _method: MethodView<'_>, _via_exception: bool) {}
+    fn method_exit(
+        &self,
+        _thread: &mut AgentThread<'_>,
+        _method: MethodView<'_>,
+        _via_exception: bool,
+    ) {
+    }
     /// A classfile is about to be linked; return replacement bytes to
     /// rewrite it (dynamic instrumentation), or `None` to keep it.
     fn class_file_load(&self, _class_name: &str, _bytes: &[u8]) -> Option<Vec<u8>> {
@@ -131,7 +189,7 @@ pub trait VmEventSink: Send + Sync {
     }
     /// `thread` allocated one object (dispatched only when
     /// [`EventMask::alloc_events`] is set).
-    fn allocation(&self, _thread: ThreadId, _alloc: AllocationView<'_>) {}
+    fn allocation(&self, _thread: &mut AgentThread<'_>, _alloc: AllocationView<'_>) {}
 }
 
 /// A sink that ignores every event (useful as a baseline and in tests).
@@ -269,8 +327,16 @@ mod tests {
     #[test]
     fn null_sink_defaults() {
         let s = NullSink;
-        s.thread_start(ThreadId(0));
-        s.vm_death();
+        let pcl = jvmsim_pcl::Pcl::new();
+        let clock = pcl.handle(pcl.register_thread());
+        let mut locals = AgentLocals::default();
+        let mut thread = AgentThread {
+            id: ThreadId(0),
+            clock: &clock,
+            locals: &mut locals,
+        };
+        s.thread_start(&mut thread);
+        s.vm_death(std::slice::from_mut(&mut thread));
         assert_eq!(s.class_file_load("a/B", &[1, 2, 3]), None);
     }
 

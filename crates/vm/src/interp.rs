@@ -60,13 +60,9 @@ impl Vm {
     ) -> Result<Value, JThrow> {
         let method_events = self.event_mask().method_events;
         if method_events {
-            if let Some(sink) = self.sink() {
-                self.stats.events_dispatched += 1;
-                let _agent = self.agent_scope(thread);
-                self.metric_incr(thread, jvmsim_metrics::CounterId::JvmtiEvents);
-                self.charge(thread, self.cost().event_dispatch);
-                sink.method_entry(thread, self.registry.method_view(mid));
-            }
+            self.deliver(thread, |sink, cx, registry| {
+                sink.method_entry(cx, registry.method_view(mid));
+            });
         }
         let is_native = self.registry.method(mid).is_native();
         let result = if is_native {
@@ -102,13 +98,10 @@ impl Vm {
             }
         };
         if method_events {
-            if let Some(sink) = self.sink() {
-                self.stats.events_dispatched += 1;
-                let _agent = self.agent_scope(thread);
-                self.metric_incr(thread, jvmsim_metrics::CounterId::JvmtiEvents);
-                self.charge(thread, self.cost().event_dispatch);
-                sink.method_exit(thread, self.registry.method_view(mid), result.is_err());
-            }
+            let via_exception = result.is_err();
+            self.deliver(thread, |sink, cx, registry| {
+                sink.method_exit(cx, registry.method_view(mid), via_exception);
+            });
         }
         result
     }
@@ -220,11 +213,12 @@ impl Vm {
         // native is probe overhead, not workload time, and its cycles are
         // attributed to the configured agent bucket.
         let (f, fault_exempt) = self.resolve_native(thread, mid)?;
-        let _agent = if fault_exempt {
-            self.agent_scope(thread)
+        let agent = if fault_exempt {
+            self.agent_shard(thread)
         } else {
             None
         };
+        let _agent = agent.as_ref().map(|(shard, bucket)| shard.enter(*bucket));
         let dispatch = self.cost().native_dispatch;
         self.charge(thread, dispatch);
         self.stats.native_cycles += dispatch;

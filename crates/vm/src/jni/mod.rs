@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::events::ThreadId;
+use crate::events::{AgentThread, ThreadId};
 use crate::throw::JThrow;
 use crate::value::{ObjRef, Value};
 use crate::vm::Vm;
@@ -221,9 +221,8 @@ impl<'a> JniEnv<'a> {
         }
         let cost = self.vm.cost().jni_invoke;
         {
-            let _scope = bucket
-                .and_then(|b| self.vm.thread_shard(self.thread).map(|shard| (shard, b)))
-                .map(|(shard, b)| shard.enter(b));
+            let shard = bucket.and_then(|_| self.vm.thread_shard(self.thread));
+            let _scope = shard.as_ref().zip(bucket).map(|(s, b)| s.enter(b));
             self.vm.charge(self.thread, cost);
         }
         // The JNI function's own marshalling is native-code time.
@@ -247,6 +246,13 @@ impl<'a> JniEnv<'a> {
             ));
         }
         result
+    }
+
+    /// The calling thread as the attached agent sees it: its clock and the
+    /// agent's thread-local storage (for agent natives such as IPA's
+    /// transition probes).
+    pub fn agent_thread(&mut self) -> AgentThread<'_> {
+        self.vm.agent_thread(self.thread)
     }
 
     /// Convenience: `CallStatic<ret>Method` with the given style.

@@ -61,8 +61,8 @@ mod vm;
 pub use cost::CostModel;
 pub use error::VmError;
 pub use events::{
-    AllocationView, EventMask, MethodView, NullSink, ThreadId, TraceEventKind, TraceSink,
-    VmEventSink,
+    AgentLocals, AgentThread, AllocationView, EventMask, MethodView, NullSink, ThreadId,
+    TraceEventKind, TraceSink, VmEventSink,
 };
 pub use jni::{JniEnv, NativeLibrary};
 pub use jvmsim_tiers::{ParseTiersModeError, Tier, TiersMode};

@@ -8,14 +8,15 @@ use std::sync::Arc;
 use jvmsim_classfile::builder::ClassBuilder;
 use jvmsim_classfile::{codec, ClassFile, FieldFlags, CLINIT};
 use jvmsim_faults::{FaultInjector, FaultSite};
-use jvmsim_metrics::{Bucket, BucketGuard, CounterId, GaugeId, MetricsRegistry, MetricsShard};
+use jvmsim_metrics::{Bucket, CounterId, GaugeId, MetricsRegistry, MetricsShard};
 use jvmsim_pcl::{ClockHandle, Pcl};
 use jvmsim_tiers::{Tier, TiersMode};
 
 use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::events::{
-    AllocationView, EventMask, SampleSink, ThreadId, TraceEventKind, TraceSink, VmEventSink,
+    AgentLocals, AgentThread, AllocationView, EventMask, SampleSink, ThreadId, TraceEventKind,
+    TraceSink, VmEventSink,
 };
 use crate::heap::{Heap, HeapObject};
 use crate::jni::{JniFunctionTable, NativeFn, NativeLibrary};
@@ -97,6 +98,8 @@ pub(crate) struct ThreadInfo {
     pub next_sample_due: u64,
     /// Result recorded when the thread's initial method finishes.
     pub result: Option<Result<Value, ExceptionInfo>>,
+    /// The attached agent's thread-local storage on this thread.
+    pub locals: AgentLocals,
 }
 
 /// Outcome of one thread's initial method.
@@ -533,14 +536,56 @@ impl Vm {
         }
     }
 
-    /// Enter the configured agent bucket on `thread`'s shard for the
-    /// lifetime of the returned guard — scoping event-dispatch and agent
-    /// callback cycles to the attribution bucket of the attached agent
-    /// (IPA probe, SPA probe, or harness).
-    pub(crate) fn agent_scope(&self, thread: ThreadId) -> Option<BucketGuard> {
+    /// `thread`'s metric shard and the attached agent's attribution bucket
+    /// (IPA probe, SPA probe, or harness), if metrics are on — for scoping
+    /// agent-infrastructure cycles that run with the VM borrowed mutably.
+    pub(crate) fn agent_shard(&self, thread: ThreadId) -> Option<(Arc<MetricsShard>, Bucket)> {
         let registry = self.metrics.as_ref()?;
-        let shard = self.threads[thread.index()].clock.metrics()?;
-        Some(shard.enter(registry.agent_bucket()))
+        let shard = self.thread_shard(thread)?;
+        Some((shard, registry.agent_bucket()))
+    }
+
+    /// Deliver one JVMTI event on `thread`: count it, scope its cycles to
+    /// the agent's attribution bucket, charge one `event_dispatch`, then
+    /// hand `event` the sink, the thread's clock and agent-local storage,
+    /// and the class registry. Everything is borrowed from the VM: no
+    /// lock, no hash lookup and no reference-count traffic per event.
+    pub(crate) fn deliver(
+        &mut self,
+        thread: ThreadId,
+        event: impl FnOnce(&dyn VmEventSink, &mut AgentThread<'_>, &ClassRegistry),
+    ) {
+        let Some(sink) = self.sink.as_deref() else {
+            return;
+        };
+        self.stats.events_dispatched += 1;
+        let info = &mut self.threads[thread.index()];
+        let shard = info.clock.metrics();
+        let _agent = self
+            .metrics
+            .as_ref()
+            .zip(shard)
+            .map(|(registry, shard)| shard.enter(registry.agent_bucket()));
+        if let Some(shard) = shard {
+            shard.incr(CounterId::JvmtiEvents);
+        }
+        info.clock.charge(self.cost.event_dispatch);
+        let mut cx = AgentThread {
+            id: thread,
+            clock: &info.clock,
+            locals: &mut info.locals,
+        };
+        event(sink, &mut cx, &self.registry);
+    }
+
+    /// The agent view of `thread` (for agent natives running under JNI).
+    pub(crate) fn agent_thread(&mut self, thread: ThreadId) -> AgentThread<'_> {
+        let info = &mut self.threads[thread.index()];
+        AgentThread {
+            id: thread,
+            clock: &info.clock,
+            locals: &mut info.locals,
+        }
     }
 
     /// Turn the JIT off entirely (the `-Xint` ablation).
@@ -695,6 +740,7 @@ impl Vm {
             depth: 0,
             next_sample_due,
             result: None,
+            locals: AgentLocals::default(),
         });
         id
     }
@@ -733,25 +779,13 @@ impl Vm {
 
     pub(crate) fn fire_thread_start(&mut self, thread: ThreadId) {
         if self.mask.thread_events {
-            if let Some(sink) = self.sink.clone() {
-                self.stats.events_dispatched += 1;
-                let _agent = self.agent_scope(thread);
-                self.metric_incr(thread, CounterId::JvmtiEvents);
-                self.charge(thread, self.cost.event_dispatch);
-                sink.thread_start(thread);
-            }
+            self.deliver(thread, |sink, cx, _| sink.thread_start(cx));
         }
     }
 
     pub(crate) fn fire_thread_end(&mut self, thread: ThreadId) {
         if self.mask.thread_events {
-            if let Some(sink) = self.sink.clone() {
-                self.stats.events_dispatched += 1;
-                let _agent = self.agent_scope(thread);
-                self.metric_incr(thread, CounterId::JvmtiEvents);
-                self.charge(thread, self.cost.event_dispatch);
-                sink.thread_end(thread);
-            }
+            self.deliver(thread, |sink, cx, _| sink.thread_end(cx));
         }
     }
 
@@ -789,9 +823,6 @@ impl Vm {
         if !self.alloc_events_on() {
             return;
         }
-        let Some(sink) = self.sink.clone() else {
-            return;
-        };
         let (class_name, bytes) = {
             let o = self.heap.get(obj);
             let label = match o {
@@ -803,20 +834,18 @@ impl Vm {
             };
             (label, o.model_bytes())
         };
-        self.stats.events_dispatched += 1;
-        let _agent = self.agent_scope(thread);
-        self.metric_incr(thread, CounterId::JvmtiEvents);
-        self.charge(thread, self.cost.event_dispatch);
-        sink.allocation(
-            thread,
-            AllocationView {
-                class_name: &class_name,
-                bytes,
-                site_class,
-                site_method,
-                bci,
-            },
-        );
+        self.deliver(thread, |sink, cx, _| {
+            sink.allocation(
+                cx,
+                AllocationView {
+                    class_name: &class_name,
+                    bytes,
+                    site_class,
+                    site_method,
+                    bci,
+                },
+            );
+        });
     }
 
     fn fire_vm_death(&mut self) {
@@ -825,14 +854,24 @@ impl Vm {
         }
         self.vm_dead = true;
         if self.mask.vm_death {
-            if let Some(sink) = self.sink.clone() {
+            if let Some(sink) = self.sink.as_deref() {
                 self.stats.events_dispatched += 1;
                 // VMDeath is delivered after the last thread has finished,
                 // on no particular thread — count it on the global shard.
                 if let Some(metrics) = &self.metrics {
                     metrics.global().incr(CounterId::JvmtiEvents);
                 }
-                sink.vm_death();
+                let mut threads: Vec<AgentThread<'_>> = self
+                    .threads
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, info)| AgentThread {
+                        id: ThreadId::from_index(i),
+                        clock: &info.clock,
+                        locals: &mut info.locals,
+                    })
+                    .collect();
+                sink.vm_death(&mut threads);
             }
         }
     }
@@ -870,17 +909,12 @@ impl Vm {
         // ClassFileLoadHook: the sink may rewrite the bytes (dynamic
         // instrumentation, §IV).
         let bytes = if self.mask.class_file_load_hook {
-            match self.sink.clone() {
-                Some(sink) => {
-                    self.stats.events_dispatched += 1;
-                    let _agent = self.agent_scope(thread);
-                    self.metric_incr(thread, CounterId::JvmtiEvents);
-                    // Hook delivery costs like any other JVMTI event.
-                    self.charge(thread, self.cost.event_dispatch);
-                    sink.class_file_load(name, &bytes).unwrap_or(bytes)
-                }
-                None => bytes,
-            }
+            // Hook delivery costs like any other JVMTI event.
+            let mut rewritten = None;
+            self.deliver(thread, |sink, _, _| {
+                rewritten = sink.class_file_load(name, &bytes);
+            });
+            rewritten.unwrap_or(bytes)
         } else {
             bytes
         };
@@ -1189,10 +1223,6 @@ impl Vm {
 
     pub(crate) fn set_depth(&mut self, thread: ThreadId, depth: usize) {
         self.threads[thread.index()].depth = depth;
-    }
-
-    pub(crate) fn sink(&self) -> Option<Arc<dyn VmEventSink>> {
-        self.sink.clone()
     }
 
     pub(crate) fn max_call_depth(&self) -> usize {

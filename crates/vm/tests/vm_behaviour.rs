@@ -8,7 +8,7 @@ use std::sync::Arc;
 use jvmsim_classfile::builder::{single_method_class, ClassBuilder};
 use jvmsim_classfile::{Cond, FieldFlags, MethodFlags};
 use jvmsim_vm::jni::{JniRetType, NativeLibrary, ParamStyle};
-use jvmsim_vm::{builtins, EventMask, MethodView, ThreadId, Value, Vm, VmEventSink};
+use jvmsim_vm::{builtins, AgentThread, EventMask, MethodView, Value, Vm, VmEventSink};
 
 const ST: MethodFlags = MethodFlags::STATIC;
 
@@ -558,25 +558,25 @@ struct CountingSink {
 }
 
 impl VmEventSink for CountingSink {
-    fn method_entry(&self, _t: ThreadId, m: MethodView<'_>) {
+    fn method_entry(&self, _t: &mut AgentThread<'_>, m: MethodView<'_>) {
         self.entries.fetch_add(1, Ordering::Relaxed);
         if m.is_native {
             self.native_entries.fetch_add(1, Ordering::Relaxed);
         }
     }
-    fn method_exit(&self, _t: ThreadId, _m: MethodView<'_>, via_exception: bool) {
+    fn method_exit(&self, _t: &mut AgentThread<'_>, _m: MethodView<'_>, via_exception: bool) {
         self.exits.fetch_add(1, Ordering::Relaxed);
         if via_exception {
             self.exceptional_exits.fetch_add(1, Ordering::Relaxed);
         }
     }
-    fn thread_start(&self, _t: ThreadId) {
+    fn thread_start(&self, _t: &mut AgentThread<'_>) {
         self.thread_starts.fetch_add(1, Ordering::Relaxed);
     }
-    fn thread_end(&self, _t: ThreadId) {
+    fn thread_end(&self, _t: &mut AgentThread<'_>) {
         self.thread_ends.fetch_add(1, Ordering::Relaxed);
     }
-    fn vm_death(&self) {
+    fn vm_death(&self, _threads: &mut [AgentThread<'_>]) {
         self.deaths.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use jnativeprof::vm::{builtins, MethodView, ThreadId, Value, Vm};
+use jnativeprof::vm::{builtins, AgentThread, MethodView, Value, Vm};
 use jvmsim_jvmti::{attach, Agent, AgentHost, Capabilities, EventType, JvmtiError};
 use workloads::by_name;
 
@@ -32,12 +32,12 @@ impl Agent for HotMethodAgent {
         Ok(())
     }
 
-    fn method_entry(&self, _thread: ThreadId, method: MethodView<'_>) {
+    fn method_entry(&self, _thread: &mut AgentThread<'_>, method: MethodView<'_>) {
         let key = format!("{}.{}{}", method.class_name, method.name, method.descriptor);
         *self.counts.lock().unwrap().entry(key).or_insert(0) += 1;
     }
 
-    fn vm_death(&self) {
+    fn vm_death(&self, _threads: &mut [AgentThread<'_>]) {
         let counts = self.counts.lock().unwrap();
         let mut rows: Vec<_> = counts.iter().collect();
         rows.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));

@@ -107,7 +107,10 @@ fn render() -> String {
 fn matrix_cells_match_the_golden_pins() {
     let actual = render();
     for (i, (want, got)) in GOLDEN.lines().zip(actual.lines()).enumerate() {
-        assert_eq!(got, want, "cell {i} drifted from tests/golden/matrix_s1.txt");
+        assert_eq!(
+            got, want,
+            "cell {i} drifted from tests/golden/matrix_s1.txt"
+        );
     }
     assert_eq!(
         actual.lines().count(),
