@@ -7,10 +7,21 @@
 //! sink, env and TLS context on every event. Delivery plumbing must cost
 //! host time only, never a simulated cycle, so any change to it has to
 //! reproduce these lines exactly.
+//!
+//! A second pin file crosses the same 40 cells with the three `--tiers`
+//! settings (120 lines) and adds two digests per cell: one over the
+//! `VmStats` oracle (per-tier cycle columns, compile and OSR counts
+//! included) and one over the full transition-trace stream, cycles at
+//! emission and all. Those lines were produced by, and checked against,
+//! both interpreter engines the VM once had, so interpreter plumbing is
+//! pinned down to the last trace event.
+
+use std::sync::{Arc, Mutex};
 
 use jnativeprof::harness::AgentChoice;
 use jnativeprof::metrics::{Bucket, MetricsRegistry};
 use jnativeprof::session::{RunOutcome, Session};
+use jnativeprof::vm::{DispatchMode, MethodId, ThreadId, TiersMode, TraceEventKind, TraceSink};
 use workloads::{by_name, ProblemSize};
 
 const WORKLOADS: [&str; 8] = [
@@ -25,12 +36,30 @@ const WORKLOADS: [&str; 8] = [
 ];
 
 const GOLDEN: &str = include_str!("golden/matrix_s1.txt");
+const GOLDEN_TIERS: &str = include_str!("golden/matrix_tiers_s1.txt");
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv_extend(hash: u64, text: &str) -> u64 {
+    text.bytes().fold(hash, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// FNV-1a over a report's `Debug` rendering: a compact pin of every field.
 fn fnv(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    fnv_extend(FNV_OFFSET, text)
+}
+
+/// Folds every trace event, in emission order, into one FNV-1a digest
+/// (one `thread kind cycles method` line per event).
+struct DigestSink(Mutex<u64>);
+
+impl TraceSink for DigestSink {
+    fn record(&self, thread: ThreadId, kind: TraceEventKind, cycles: u64, method: Option<MethodId>) {
+        let mut hash = self.0.lock().unwrap();
+        *hash = fnv_extend(*hash, &format!("{thread:?} {kind:?} {cycles} {method:?}\n"));
+    }
 }
 
 fn line(workload: &str, run: &RunOutcome, ledger: [u64; Bucket::COUNT]) -> String {
@@ -76,18 +105,21 @@ fn line(workload: &str, run: &RunOutcome, ledger: [u64; Bucket::COUNT]) -> Strin
     out
 }
 
-fn render() -> String {
-    let agents = [
+fn agents() -> [AgentChoice; 5] {
+    [
         AgentChoice::None,
         AgentChoice::Spa,
         AgentChoice::ipa(),
         AgentChoice::Alloc,
         AgentChoice::Lock,
-    ];
+    ]
+}
+
+fn render() -> String {
     let mut out = String::new();
     for workload in WORKLOADS {
         let w = by_name(workload).expect("known workload");
-        for agent in &agents {
+        for agent in &agents() {
             let metrics = MetricsRegistry::new();
             let run = Session::new(w.as_ref(), ProblemSize::S1)
                 .agent(agent.clone())
@@ -103,18 +135,60 @@ fn render() -> String {
     out
 }
 
-#[test]
-fn matrix_cells_match_the_golden_pins() {
-    let actual = render();
-    for (i, (want, got)) in GOLDEN.lines().zip(actual.lines()).enumerate() {
-        assert_eq!(
-            got, want,
-            "cell {i} drifted from tests/golden/matrix_s1.txt"
-        );
+/// The 120-cell rendering: every cell at every `--tiers` setting, with
+/// the `VmStats` and trace-stream digests appended.
+fn render_tiers(dispatch: DispatchMode) -> String {
+    let mut out = String::new();
+    for workload in WORKLOADS {
+        let w = by_name(workload).expect("known workload");
+        for agent in &agents() {
+            for tiers in TiersMode::ALL {
+                let metrics = MetricsRegistry::new();
+                let trace = Arc::new(DigestSink(Mutex::new(FNV_OFFSET)));
+                let run = Session::new(w.as_ref(), ProblemSize::S1)
+                    .agent(agent.clone())
+                    .tiers(tiers)
+                    .dispatch(dispatch)
+                    .metrics(metrics.clone())
+                    .trace(Arc::clone(&trace) as Arc<dyn TraceSink>)
+                    .run()
+                    .unwrap_or_else(|e| {
+                        panic!("{workload}/{}/{}: {e}", agent.label(), tiers.label())
+                    });
+                let snapshot = metrics.snapshot();
+                let ledger = Bucket::ALL.map(|b| snapshot.bucket_cycles(b));
+                out += &format!(
+                    "{} tiers={} stats={:016x} trace={:016x}\n",
+                    line(workload, &run, ledger),
+                    tiers.label(),
+                    fnv(&format!("{:?}", run.outcome.stats)),
+                    *trace.0.lock().unwrap()
+                );
+            }
+        }
+    }
+    out
+}
+
+fn assert_matches(golden: &str, file: &str, actual: &str) {
+    for (i, (want, got)) in golden.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(got, want, "cell {i} drifted from tests/golden/{file}");
     }
     assert_eq!(
         actual.lines().count(),
-        GOLDEN.lines().count(),
+        golden.lines().count(),
         "cell count changed; full rendering:\n{actual}"
     );
+}
+
+#[test]
+fn tier_matrix_cells_match_the_golden_pins() {
+    for dispatch in [DispatchMode::Switch, DispatchMode::Threaded] {
+        assert_matches(GOLDEN_TIERS, "matrix_tiers_s1.txt", &render_tiers(dispatch));
+    }
+}
+
+#[test]
+fn matrix_cells_match_the_golden_pins() {
+    assert_matches(GOLDEN, "matrix_s1.txt", &render());
 }
