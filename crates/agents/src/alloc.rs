@@ -17,9 +17,6 @@ use jvmsim_vm::{AgentThread, AllocationView, TraceEventKind, TraceSink};
 /// `total == Σ sites + overflow` always balances.
 pub const MAX_ALLOC_SITES: usize = 1024;
 
-/// An interned allocation site: `(class, method, bytecode index)`.
-type SiteKey = (String, String, u32);
-
 #[derive(Debug, Default, Clone, Copy)]
 struct SiteStats {
     objects: u64,
@@ -32,11 +29,34 @@ struct SiteStats {
 
 #[derive(Debug, Default)]
 struct SiteTable {
-    sites: BTreeMap<SiteKey, SiteStats>,
+    /// Sites by class, then method, then bytecode index. Nested rather
+    /// than keyed by an owned `(class, method, bci)` tuple, so a known
+    /// site is found from the event's borrowed names and only a new site
+    /// copies them. Iteration order is the tuple's order.
+    sites: BTreeMap<String, BTreeMap<String, BTreeMap<u32, SiteStats>>>,
+    /// Number of distinct sites in `sites`.
+    site_count: usize,
     overflow_objects: u64,
     overflow_bytes: u64,
     total_objects: u64,
     total_bytes: u64,
+}
+
+impl SiteTable {
+    fn site_mut(&mut self, class: &str, method: &str, bci: u32) -> Option<&mut SiteStats> {
+        self.sites.get_mut(class)?.get_mut(method)?.get_mut(&bci)
+    }
+
+    fn insert_site(&mut self, class: &str, method: &str, bci: u32) -> &mut SiteStats {
+        self.site_count += 1;
+        self.sites
+            .entry(class.to_owned())
+            .or_default()
+            .entry(method.to_owned())
+            .or_default()
+            .entry(bci)
+            .or_default()
+    }
 }
 
 /// The ALLOC agent. Attach with [`jvmsim_jvmti::attach`]; read the
@@ -83,13 +103,17 @@ impl AllocAgent {
             sites: t
                 .sites
                 .iter()
-                .map(|((class, method, bci), s)| AllocSiteRow {
-                    class: class.clone(),
-                    method: method.clone(),
-                    bci: *bci,
-                    objects: s.objects,
-                    bytes: s.bytes,
-                    lifetime_cycles: (s.objects * death_tick).saturating_sub(s.alloc_ticks),
+                .flat_map(|(class, methods)| {
+                    methods.iter().flat_map(move |(method, bcis)| {
+                        bcis.iter().map(move |(&bci, s)| AllocSiteRow {
+                            class: class.clone(),
+                            method: method.clone(),
+                            bci,
+                            objects: s.objects,
+                            bytes: s.bytes,
+                            lifetime_cycles: (s.objects * death_tick).saturating_sub(s.alloc_ticks),
+                        })
+                    })
                 })
                 .collect(),
             overflow_objects: t.overflow_objects,
@@ -123,18 +147,19 @@ impl Agent for AllocAgent {
         let mut t = self.table.lock();
         t.total_objects += 1;
         t.total_bytes += alloc.bytes;
-        let key = (
-            alloc.site_class.to_owned(),
-            alloc.site_method.to_owned(),
-            alloc.bci,
-        );
-        let table_full = t.sites.len() >= MAX_ALLOC_SITES && !t.sites.contains_key(&key);
+        let (class, method, bci) = (alloc.site_class, alloc.site_method, alloc.bci);
+        let known = t.site_mut(class, method, bci).is_some();
+        let table_full = !known && t.site_count >= MAX_ALLOC_SITES;
         if table_full || env.fault(FaultSite::AllocSiteOverflow).is_some() {
             t.overflow_objects += 1;
             t.overflow_bytes += alloc.bytes;
             return;
         }
-        let s = t.sites.entry(key).or_default();
+        let s = if known {
+            t.site_mut(class, method, bci).expect("known site")
+        } else {
+            t.insert_site(class, method, bci)
+        };
         s.objects += 1;
         s.bytes += alloc.bytes;
         s.alloc_ticks += tick;

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use crate::events::{AgentThread, ThreadId};
 use crate::throw::JThrow;
 use crate::value::{ObjRef, Value};
-use crate::vm::Vm;
+use crate::vm::{AllocSite, Vm};
 
 pub use table::{
     CallKind, JniCallKey, JniCallSpec, JniEntryFn, JniFunctionTable, JniRetType, ParamStyle,
@@ -332,8 +332,14 @@ impl<'a> JniEnv<'a> {
         let cost = self.vm.cost().alloc_array(len);
         self.vm.charge(self.thread, cost);
         let r = self.vm.heap_mut().alloc_int_array(len);
-        self.vm
-            .fire_allocation(self.thread, r, "<jni>", "NewIntArray", 0);
+        self.vm.fire_allocation(
+            self.thread,
+            r,
+            AllocSite::Named {
+                class: "<jni>",
+                method: "NewIntArray",
+            },
+        );
         r
     }
 
@@ -343,8 +349,14 @@ impl<'a> JniEnv<'a> {
         let r = self.vm.heap_mut().intern_string(s);
         // Interning allocates only on a miss.
         if self.vm.heap().len() > before {
-            self.vm
-                .fire_allocation(self.thread, r, "<jni>", "NewString", 0);
+            self.vm.fire_allocation(
+                self.thread,
+                r,
+                AllocSite::Named {
+                    class: "<jni>",
+                    method: "NewString",
+                },
+            );
         }
         r
     }
@@ -361,8 +373,14 @@ impl<'a> JniEnv<'a> {
     ) -> ObjRef {
         let r = self.vm.heap_mut().alloc_string(s);
         self.vm.stats.allocations += 1;
-        self.vm
-            .fire_allocation(self.thread, r, site_class, site_method, 0);
+        self.vm.fire_allocation(
+            self.thread,
+            r,
+            AllocSite::Named {
+                class: site_class,
+                method: site_method,
+            },
+        );
         r
     }
 

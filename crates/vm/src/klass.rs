@@ -160,6 +160,24 @@ pub struct FieldSlot {
     pub ty: Type,
 }
 
+/// A native method bound to a library symbol.
+#[derive(Clone)]
+pub(crate) struct NativeBinding {
+    /// The library function.
+    pub f: crate::jni::NativeFn,
+    /// Whether the library is exempt from fault injection (agent
+    /// instrumentation infrastructure).
+    pub fault_exempt: bool,
+}
+
+impl fmt::Debug for NativeBinding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NativeBinding")
+            .field("fault_exempt", &self.fault_exempt)
+            .finish_non_exhaustive()
+    }
+}
+
 /// A linked class.
 #[derive(Debug)]
 pub struct RuntimeClass {
@@ -192,10 +210,13 @@ pub struct RuntimeClass {
     pub tiers: Vec<Tier>,
     /// Shared method bodies (parallel to `methods`; `None` for natives).
     pub code: Vec<Option<Arc<Code>>>,
-    /// Threaded-engine bodies (parallel to `methods`), filled lazily on
-    /// first execution. A direct slot rather than a map: the lookup is on
+    /// Prepared interpreter bodies (parallel to `methods`), filled lazily
+    /// on first execution. A direct slot rather than a map: the lookup is on
     /// every bytecode invocation's hot path.
     pub(crate) prepared: Vec<Option<Arc<crate::prepared::PreparedCode>>>,
+    /// Resolved native bindings (parallel to `methods`), filled on a
+    /// native method's first call.
+    pub(crate) natives: Vec<Option<NativeBinding>>,
     /// Pool index → pre-resolved call site, for `invokestatic`/`invokevirtual`.
     pub callsites: HashMap<u16, CallSite>,
     /// Pool index → pre-resolved field reference.
@@ -441,6 +462,7 @@ impl ClassRegistry {
             tiers: vec![Tier::Interp; n],
             code,
             prepared: vec![None; n],
+            natives: vec![None; n],
             callsites,
             fieldsites,
             classrefs,

@@ -67,7 +67,6 @@ pub use events::{
 pub use jni::{JniEnv, NativeLibrary};
 pub use jvmsim_tiers::{ParseTiersModeError, Tier, TiersMode};
 pub use klass::{ClassId, MethodId, Sym};
-pub use prepared::DispatchMode;
 pub use throw::{ExceptionInfo, JThrow};
 pub use value::{ObjRef, Value};
 pub use vm::{RunOutcome, ThreadOutcome, Vm, VmStats};

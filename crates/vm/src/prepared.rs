@@ -1,25 +1,17 @@
-//! The direct-threaded interpreter fast path.
+//! The bytecode interpreter: prepared code, inline caches and the
+//! execution loop.
 //!
-//! [`Vm::invoke`] routes bytecode execution through one of two engines:
-//!
-//! * **Switch** — the reference engine in `interp.rs`: a `match` over
-//!   [`jvmsim_classfile::Insn`] that re-derives every operand (pool-index
-//!   hash lookups for call sites, field sites and string constants) on
-//!   every execution.
-//! * **Threaded** — this module: each method body is *prepared* once into
-//!   a dense [`Op`] array (a jump table for the compiler to dispatch
-//!   over), with operands pre-decoded, call-site arity/returns baked in,
-//!   and every resolution site given an [`InlineCache`] slot so the
-//!   steady-state path does no hashing at all. Cycle charges and metrics
-//!   counter bumps are *batched* into locals and flushed before every
-//!   observable action (invokes, throws, allocations, sample polls, trace
-//!   emission, returns), which removes the per-instruction atomic
-//!   read-modify-write on the thread clock.
-//!
-//! The two engines are **identity-neutral**: byte-for-byte identical
-//! cycle totals, stats, heap contents, metrics and trace streams (a
-//! differential proptest pins this). Preparation itself charges nothing —
-//! it models the one-time threaded-code rewrite a template interpreter
+//! Each method body is *prepared* once, on first execution, into a dense
+//! [`Op`] array (a jump table for the compiler to dispatch over), with
+//! operands pre-decoded, call-site arity and returns-ness baked in, and
+//! every resolution site given an [`InlineCache`] slot. The steady-state
+//! path therefore does no hashing at all. Cycle charges and metrics
+//! counter bumps are *batched* into locals and flushed before every
+//! observable action (invokes, throws, allocations, sample polls, trace
+//! emission, returns), so the per-instruction atomic read-modify-write on
+//! the thread clock is gone while every clock reading an agent or the
+//! trace can take stays exact. Preparation itself charges nothing: it
+//! models the one-time threaded-code rewrite a template interpreter
 //! performs at link time, not measured work.
 
 use std::sync::Arc;
@@ -33,38 +25,13 @@ use crate::heap::HeapObject;
 use crate::klass::{ClassId, MethodId, RuntimeClass};
 use crate::throw::JThrow;
 use crate::value::{ObjRef, Value};
-use crate::vm::Vm;
-
-/// Which interpreter engine executes bytecode methods.
-///
-/// Both engines are observationally identical (same cycles, stats, heap,
-/// metrics and traces); `Switch` is kept as the differential baseline and
-/// as the slow lane the criterion bench compares against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DispatchMode {
-    /// The reference switch-dispatch interpreter (`interp.rs`).
-    Switch,
-    /// The prepared, inline-cached, batch-charging engine (this module).
-    #[default]
-    Threaded,
-}
-
-impl DispatchMode {
-    /// Stable lower-case label (`switch` / `threaded`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            DispatchMode::Switch => "switch",
-            DispatchMode::Threaded => "threaded",
-        }
-    }
-}
+use crate::vm::{AllocSite, Vm};
 
 /// One inline-cache slot in the VM-wide arena. Ops carry `u32` indices
 /// into the arena; a slot starts [`InlineCache::Empty`] and is filled on
-/// first execution by the same cold resolution path the switch engine
-/// uses, so miss behaviour (class loading, `<clinit>` charges, linkage
-/// errors) is identical between engines.
+/// first execution by the resolvers in `interp.rs`, which load classes
+/// (charging their `<clinit>`) and raise linkage errors. A failed
+/// resolution leaves the slot empty, so the next execution retries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum InlineCache {
     /// Not yet resolved.
@@ -191,14 +158,28 @@ pub(crate) enum Op {
     AThrow,
 }
 
-/// A method body rewritten for the threaded engine, cached per
-/// [`MethodId`] in the VM.
+/// A method body rewritten into [`Op`]s, cached per [`MethodId`] in its
+/// class's `prepared` slot.
 #[derive(Debug)]
 pub(crate) struct PreparedCode {
     pub max_stack: u16,
     pub max_locals: u16,
     pub ops: Vec<Op>,
     pub exception_table: Vec<ExceptionHandler>,
+}
+
+/// The interpreter's own mutable state, one owned field of the VM.
+#[derive(Debug, Default)]
+pub(crate) struct Engine {
+    /// Inline-cache slots the prepared ops index into (the prepared
+    /// bodies themselves live in per-class slots).
+    ic_arena: Vec<InlineCache>,
+    /// Recycled `(locals, stack)` buffers for frames: the contiguous-stack
+    /// discipline of a real template interpreter, instead of two heap
+    /// allocations per activation.
+    frame_pool: Vec<(Vec<Value>, Vec<Value>)>,
+    /// Recycled argument vectors for call sites.
+    arg_pool: Vec<Vec<Value>>,
 }
 
 fn alloc_ic(arena: &mut Vec<InlineCache>) -> u32 {
@@ -339,7 +320,7 @@ pub(crate) fn prepare(
 impl Vm {
     /// The prepared body of `mid`, building (and caching) it on first use.
     /// The steady state is two vector indexes and an `Arc` bump — this
-    /// runs on every bytecode invocation under the threaded engine.
+    /// runs on every bytecode invocation.
     pub(crate) fn prepared_code(&mut self, mid: MethodId) -> Arc<PreparedCode> {
         let rc = self.registry.get(mid.class);
         if let Some(p) = &rc.prepared[mid.index as usize] {
@@ -348,21 +329,51 @@ impl Vm {
         let code = rc.code[mid.index as usize]
             .as_deref()
             .expect("bytecode method has code");
-        let p = Arc::new(prepare(code, rc, &mut self.ic_arena));
+        let p = Arc::new(prepare(code, rc, &mut self.engine.ic_arena));
         self.registry.get_mut(mid.class).prepared[mid.index as usize] = Some(Arc::clone(&p));
         p
     }
 
-    /// The threaded execution loop. Semantically a mirror of the switch
-    /// engine's `execute` — every divergence is a bug the differential
-    /// test catches. Charges are accumulated in `pending_*` and flushed
-    /// (clock, `InterpInsns` counter, `VmStats`) before every observable
-    /// action so intermediate clock readings match the reference engine
-    /// exactly.
+    /// Find the handler in `table` covering `pc` that catches `t`. On a
+    /// match the operand stack is reset to the exception alone and the
+    /// handler's pc is returned.
+    fn handle_throw(
+        &mut self,
+        table: &[ExceptionHandler],
+        pc: u32,
+        t: JThrow,
+        stack: &mut Vec<Value>,
+    ) -> Option<u32> {
+        let thrown_class = match self.heap().get(t.exception) {
+            HeapObject::Instance { class, .. } => Some(*class),
+            _ => None,
+        };
+        for h in table {
+            if pc < h.start || pc >= h.end {
+                continue;
+            }
+            let matches = match (&h.catch_class, thrown_class) {
+                (None, _) => true,
+                (Some(catch), Some(cls)) => self.is_subclass_of(cls, catch),
+                (Some(_), None) => false,
+            };
+            if matches {
+                stack.clear();
+                stack.push(Value::Ref(t.exception));
+                return Some(h.handler);
+            }
+        }
+        None
+    }
+
+    /// The execution loop: run `mid`'s prepared body at `tier` on
+    /// `thread`. Charges are accumulated in `pending_*` and flushed (clock,
+    /// `InterpInsns` counter, `VmStats`) before every observable action, so
+    /// every intermediate clock reading equals a per-instruction charge's.
     // `unused_assignments`: the flush before a `return` zeroes the pending
     // accumulators like every other flush; the zeroes are dead there.
     #[allow(clippy::too_many_lines, unused_assignments)]
-    pub(crate) fn execute_threaded(
+    pub(crate) fn execute(
         &mut self,
         thread: ThreadId,
         mid: MethodId,
@@ -389,7 +400,7 @@ impl Vm {
         // Frames come from the recycle pool: a template interpreter runs
         // on a contiguous thread stack, not one heap allocation per
         // activation. Contents are reset identically to a fresh frame.
-        let (mut locals, mut stack) = self.frame_pool.pop().unwrap_or_default();
+        let (mut locals, mut stack) = self.engine.frame_pool.pop().unwrap_or_default();
         locals.clear();
         locals.resize(prepared.max_locals as usize, Value::Int(0));
         locals[..args.len()].copy_from_slice(&args);
@@ -398,7 +409,7 @@ impl Vm {
         {
             let mut args = args;
             args.clear();
-            self.arg_pool.push(args);
+            self.engine.arg_pool.push(args);
         }
         let mut pc: u32 = 0;
 
@@ -452,7 +463,8 @@ impl Vm {
                         if tier.is_compiled() {
                             self.deopt(thread, mid);
                         }
-                        self.frame_pool
+                        self.engine
+                            .frame_pool
                             .push((std::mem::take(&mut locals), std::mem::take(&mut stack)));
                         return Err(t);
                     }
@@ -495,26 +507,25 @@ impl Vm {
                 Op::AConstNull => stack.push(Value::Null),
                 Op::Ldc { ic, cp } => {
                     let slot = *ic as usize;
-                    let r = match self.ic_arena[slot] {
+                    let r = match self.engine.ic_arena[slot] {
                         InlineCache::LdcStr(r) => r,
                         _ => {
                             flush!();
-                            let key = (cur, *cp);
-                            let r = match self.ldc_cache.get(&key) {
-                                Some(&r) => r,
-                                None => {
-                                    let s = self.registry.get(cur).strings[cp].clone();
-                                    let before = self.heap().len();
-                                    let r = self.heap_mut().intern_string(&s);
-                                    if self.alloc_events_on() && self.heap().len() > before {
-                                        let (sc, sm) = self.site_of(mid);
-                                        self.fire_allocation(thread, r, &sc, &sm, pc);
-                                    }
-                                    self.ldc_cache.insert(key, r);
-                                    r
-                                }
-                            };
-                            self.ic_arena[slot] = InlineCache::LdcStr(r);
+                            // Interning allocates only the first time a
+                            // text is interned; only that allocation is an
+                            // event.
+                            let (r, fresh) = self.intern_constant(cur, *cp);
+                            if fresh {
+                                self.fire_allocation(
+                                    thread,
+                                    r,
+                                    AllocSite::Bytecode {
+                                        method: mid,
+                                        bci: pc,
+                                    },
+                                );
+                            }
+                            self.engine.ic_arena[slot] = InlineCache::LdcStr(r);
                             r
                         }
                     };
@@ -660,13 +671,13 @@ impl Vm {
                     returns,
                 } => {
                     let slot = *ic as usize;
-                    let callee = match self.ic_arena[slot] {
+                    let callee = match self.engine.ic_arena[slot] {
                         InlineCache::StaticCall(m) => m,
                         _ => {
                             flush!();
                             match self.static_target(thread, cur, *cp) {
-                                Ok((m, _, _)) => {
-                                    self.ic_arena[slot] = InlineCache::StaticCall(m);
+                                Ok(m) => {
+                                    self.engine.ic_arena[slot] = InlineCache::StaticCall(m);
                                     m
                                 }
                                 Err(t) => throw_or_handle!(t),
@@ -674,7 +685,7 @@ impl Vm {
                         }
                     };
                     let split = stack.len() - *nargs as usize;
-                    let mut call_args = self.arg_pool.pop().unwrap_or_default();
+                    let mut call_args = self.engine.arg_pool.pop().unwrap_or_default();
                     call_args.extend(stack.drain(split..));
                     flush!();
                     match self.invoke(thread, callee, call_args) {
@@ -693,7 +704,7 @@ impl Vm {
                     returns,
                 } => {
                     let split = stack.len() - *nargs as usize - 1;
-                    let mut call_args = self.arg_pool.pop().unwrap_or_default();
+                    let mut call_args = self.engine.arg_pool.pop().unwrap_or_default();
                     call_args.extend(stack.drain(split..));
                     let recv = call_args[0];
                     let obj = match recv.as_ref_opt() {
@@ -712,15 +723,15 @@ impl Vm {
                         }
                     };
                     let slot = *ic as usize;
-                    let callee = match self.ic_arena[slot] {
+                    let callee = match self.engine.ic_arena[slot] {
                         InlineCache::VirtualCall { receiver, target } if receiver == dyn_class => {
                             target
                         }
                         _ => {
                             flush!();
                             match self.virtual_target(thread, cur, *cp, dyn_class) {
-                                Ok((m, _, _)) => {
-                                    self.ic_arena[slot] = InlineCache::VirtualCall {
+                                Ok(m) => {
+                                    self.engine.ic_arena[slot] = InlineCache::VirtualCall {
                                         receiver: dyn_class,
                                         target: m,
                                     };
@@ -742,34 +753,27 @@ impl Vm {
                 }
                 Op::Return => {
                     flush!();
-                    self.frame_pool.push((locals, stack));
+                    self.engine.frame_pool.push((locals, stack));
                     return Ok(Value::Null);
                 }
                 Op::ValueReturn => {
                     flush!();
                     let v = stack.pop().expect("verified");
-                    self.frame_pool.push((locals, stack));
+                    self.engine.frame_pool.push((locals, stack));
                     return Ok(v);
                 }
                 Op::New { ic, cp } => {
                     let slot = *ic as usize;
-                    let cid = match self.ic_arena[slot] {
+                    let cid = match self.engine.ic_arena[slot] {
                         InlineCache::NewClass(c) => c,
                         _ => {
                             flush!();
-                            let c = match self.new_class_cache.get(&(cur, *cp)) {
-                                Some(&c) => c,
-                                None => {
-                                    let name = self.registry.get(cur).classrefs[cp].clone();
-                                    let c = match self.ensure_loaded_or_throw(thread, &name) {
-                                        Ok(c) => c,
-                                        Err(t) => throw_or_handle!(t),
-                                    };
-                                    self.new_class_cache.insert((cur, *cp), c);
-                                    c
-                                }
+                            let name = self.registry.get(cur).classrefs[cp].clone();
+                            let c = match self.ensure_loaded_or_throw(thread, &name) {
+                                Ok(c) => c,
+                                Err(t) => throw_or_handle!(t),
                             };
-                            self.ic_arena[slot] = InlineCache::NewClass(c);
+                            self.engine.ic_arena[slot] = InlineCache::NewClass(c);
                             c
                         }
                     };
@@ -778,10 +782,14 @@ impl Vm {
                     self.stats.allocations += 1;
                     let defaults = self.registry.get(cid).field_defaults();
                     let obj = self.heap_mut().alloc_instance(cid, defaults);
-                    if self.alloc_events_on() {
-                        let (sc, sm) = self.site_of(mid);
-                        self.fire_allocation(thread, obj, &sc, &sm, pc);
-                    }
+                    self.fire_allocation(
+                        thread,
+                        obj,
+                        AllocSite::Bytecode {
+                            method: mid,
+                            bci: pc,
+                        },
+                    );
                     stack.push(Value::Ref(obj));
                 }
                 Op::GetField { ic, cp } | Op::PutField { ic, cp } => {
@@ -804,13 +812,14 @@ impl Vm {
                             "field access on a non-object reference"
                         );
                     }
-                    let slot = match self.ic_arena[*ic as usize] {
+                    let slot = match self.engine.ic_arena[*ic as usize] {
                         InlineCache::InstanceField(s) => s,
                         _ => {
                             flush!();
                             match self.instance_field_slot(thread, cur, *cp) {
                                 Ok(s) => {
-                                    self.ic_arena[*ic as usize] = InlineCache::InstanceField(s);
+                                    self.engine.ic_arena[*ic as usize] =
+                                        InlineCache::InstanceField(s);
                                     s
                                 }
                                 Err(t) => throw_or_handle!(t),
@@ -831,13 +840,13 @@ impl Vm {
                 }
                 Op::GetStatic { ic, cp } | Op::PutStatic { ic, cp } => {
                     let is_put = matches!(op, Op::PutStatic { .. });
-                    let (cid, slot) = match self.ic_arena[*ic as usize] {
+                    let (cid, slot) = match self.engine.ic_arena[*ic as usize] {
                         InlineCache::StaticField { class, slot } => (class, slot),
                         _ => {
                             flush!();
                             match self.static_field_target(thread, cur, *cp) {
                                 Ok((class, slot)) => {
-                                    self.ic_arena[*ic as usize] =
+                                    self.engine.ic_arena[*ic as usize] =
                                         InlineCache::StaticField { class, slot };
                                     (class, slot)
                                 }
@@ -866,10 +875,14 @@ impl Vm {
                         ArrayKind::Float => self.heap_mut().alloc_float_array(len),
                         ArrayKind::Ref => self.heap_mut().alloc_ref_array(len),
                     };
-                    if self.alloc_events_on() {
-                        let (sc, sm) = self.site_of(mid);
-                        self.fire_allocation(thread, r, &sc, &sm, pc);
-                    }
+                    self.fire_allocation(
+                        thread,
+                        r,
+                        AllocSite::Bytecode {
+                            method: mid,
+                            bci: pc,
+                        },
+                    );
                     stack.push(Value::Ref(r));
                 }
                 Op::ArrLoad(kind) => {

@@ -19,8 +19,9 @@ use crate::events::{
     TraceSink, VmEventSink,
 };
 use crate::heap::{Heap, HeapObject};
-use crate::jni::{JniFunctionTable, NativeFn, NativeLibrary};
+use crate::jni::{JniFunctionTable, NativeLibrary};
 use crate::klass::{ClassId, ClassRegistry, MethodId};
+use crate::prepared::Engine;
 use crate::throw::{ExceptionInfo, JThrow};
 use crate::value::{ObjRef, Value};
 
@@ -133,6 +134,27 @@ impl RunOutcome {
     }
 }
 
+/// Where an allocation happened: the site the ALLOC agent keys it by.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum AllocSite<'a> {
+    /// The bytecode instruction at `bci` of `method`; its class and method
+    /// names are read from the registry when the event is delivered.
+    Bytecode {
+        /// The allocating method.
+        method: MethodId,
+        /// Index of the allocating instruction.
+        bci: u32,
+    },
+    /// A site with no bytecode behind it (a JNI helper or a thrown
+    /// exception), reported at bci 0.
+    Named {
+        /// Site class label.
+        class: &'a str,
+        /// Site method label.
+        method: &'a str,
+    },
+}
+
 struct PendingThread {
     name: String,
     class: String,
@@ -172,8 +194,6 @@ pub struct Vm {
     available_libraries: HashMap<String, NativeLibrary>,
     /// Libraries made live via `load_native_library` (`System.loadLibrary`).
     loaded_libraries: Vec<NativeLibrary>,
-    /// Cache of resolved native bindings.
-    native_bindings: HashMap<MethodId, (NativeFn, bool)>,
     /// Registered native-method name prefixes (JVMTI 1.1 prefix retry).
     prefixes: Vec<String>,
     sink: Option<Arc<dyn VmEventSink>>,
@@ -188,18 +208,8 @@ pub struct Vm {
     jit_requested: bool,
     /// Which tier promotions the pipeline performs (the `--tiers` axis).
     tiers_mode: TiersMode,
-    /// Interpreter dispatch strategy (identity-neutral: both engines
-    /// charge byte-identical cycles).
-    dispatch: crate::prepared::DispatchMode,
-    /// Inline-cache arena the threaded engine's prepared ops index into
-    /// (the prepared bodies themselves live in per-class slots).
-    pub(crate) ic_arena: Vec<crate::prepared::InlineCache>,
-    /// Recycled `(locals, stack)` buffers for threaded-engine frames —
-    /// the contiguous-stack discipline of a real template interpreter,
-    /// instead of two heap allocations per activation.
-    pub(crate) frame_pool: Vec<(Vec<Value>, Vec<Value>)>,
-    /// Recycled argument vectors for threaded-engine call sites.
-    pub(crate) arg_pool: Vec<Vec<Value>>,
+    /// The interpreter's own state: inline caches and recycled frames.
+    pub(crate) engine: Engine,
     threads: Vec<ThreadInfo>,
     pending: VecDeque<PendingThread>,
     jni_table: JniFunctionTable,
@@ -213,13 +223,6 @@ pub struct Vm {
     /// metrics never changes any measured quantity).
     metrics: Option<MetricsRegistry>,
     pub(crate) stats: VmStats,
-    // Interpreter caches (pool-index → resolved target + arity + returns?).
-    pub(crate) static_call_cache: HashMap<(ClassId, u16), (MethodId, u8, bool)>,
-    pub(crate) virtual_call_cache: HashMap<(ClassId, u16, ClassId), (MethodId, u8, bool)>,
-    pub(crate) static_field_cache: HashMap<(ClassId, u16), (ClassId, usize)>,
-    pub(crate) instance_field_cache: HashMap<(ClassId, u16), usize>,
-    pub(crate) ldc_cache: HashMap<(ClassId, u16), ObjRef>,
-    pub(crate) new_class_cache: HashMap<(ClassId, u16), ClassId>,
     vm_dead: bool,
 }
 
@@ -256,7 +259,6 @@ impl Vm {
             classpath: HashMap::new(),
             available_libraries: HashMap::new(),
             loaded_libraries: Vec::new(),
-            native_bindings: HashMap::new(),
             prefixes: Vec::new(),
             sink: None,
             trace: None,
@@ -264,10 +266,7 @@ impl Vm {
             sampler: None,
             jit_requested: true,
             tiers_mode: TiersMode::default(),
-            dispatch: crate::prepared::DispatchMode::default(),
-            ic_arena: Vec::new(),
-            frame_pool: Vec::new(),
-            arg_pool: Vec::new(),
+            engine: Engine::default(),
             threads: Vec::new(),
             pending: VecDeque::new(),
             jni_table: JniFunctionTable::new(),
@@ -275,12 +274,6 @@ impl Vm {
             faults: Arc::new(FaultInjector::disabled()),
             metrics: None,
             stats: VmStats::default(),
-            static_call_cache: HashMap::new(),
-            virtual_call_cache: HashMap::new(),
-            static_field_cache: HashMap::new(),
-            instance_field_cache: HashMap::new(),
-            ldc_cache: HashMap::new(),
-            new_class_cache: HashMap::new(),
             vm_dead: false,
         };
         vm.bootstrap_exception_classes();
@@ -620,17 +613,6 @@ impl Vm {
         }
     }
 
-    /// Select the interpreter dispatch engine (identity-neutral; the
-    /// default is direct-threaded).
-    pub fn set_dispatch(&mut self, dispatch: crate::prepared::DispatchMode) {
-        self.dispatch = dispatch;
-    }
-
-    /// The interpreter dispatch engine in force.
-    pub fn dispatch(&self) -> crate::prepared::DispatchMode {
-        self.dispatch
-    }
-
     /// Register a native-method name prefix (JVMTI 1.1 `SetNativeMethodPrefix`).
     ///
     /// Resolution of a native method whose name starts with a registered
@@ -797,48 +779,51 @@ impl Vm {
         self.mask.alloc_events && self.sink.is_some()
     }
 
-    /// `(class name, method name)` of `mid`, owned — the allocation-site
-    /// key the ALLOC agent interns.
-    pub(crate) fn site_of(&self, mid: MethodId) -> (String, String) {
-        let rc = self.registry.get(mid.class);
-        (
-            rc.name.clone(),
-            rc.methods[mid.index as usize].name().to_owned(),
-        )
+    /// Intern the string constant at pool index `cp` of `class`; the flag
+    /// says whether interning allocated (the text was not interned yet).
+    pub(crate) fn intern_constant(&mut self, class: ClassId, cp: u16) -> (ObjRef, bool) {
+        let before = self.heap.len();
+        let r = self
+            .heap
+            .intern_string(&self.registry.get(class).strings[&cp]);
+        (r, self.heap.len() > before)
     }
 
     /// Dispatch one allocation event for the freshly allocated `obj`,
-    /// attributed to the site `(site_class, site_method, bci)`. Dispatch
-    /// follows the same shape as every other JVMTI event: counted in
-    /// `events_dispatched`, scoped to the agent's attribution bucket, and
-    /// charged one `event_dispatch` on the allocating thread.
-    pub(crate) fn fire_allocation(
-        &mut self,
-        thread: ThreadId,
-        obj: ObjRef,
-        site_class: &str,
-        site_method: &str,
-        bci: u32,
-    ) {
+    /// attributed to `site`. Dispatch follows the same shape as every
+    /// other JVMTI event: counted in `events_dispatched`, scoped to the
+    /// agent's attribution bucket, and charged one `event_dispatch` on the
+    /// allocating thread. Every name the event carries is borrowed from
+    /// the class registry or from `site`; none is copied.
+    pub(crate) fn fire_allocation(&mut self, thread: ThreadId, obj: ObjRef, site: AllocSite<'_>) {
         if !self.alloc_events_on() {
             return;
         }
-        let (class_name, bytes) = {
-            let o = self.heap.get(obj);
-            let label = match o {
-                HeapObject::Instance { class, .. } => self.registry.get(*class).name.clone(),
-                HeapObject::IntArray(_) => "long[]".to_owned(),
-                HeapObject::FloatArray(_) => "double[]".to_owned(),
-                HeapObject::RefArray(_) => "java/lang/Object[]".to_owned(),
-                HeapObject::Str(_) => "java/lang/String".to_owned(),
-            };
-            (label, o.model_bytes())
+        let o = self.heap.get(obj);
+        let bytes = o.model_bytes();
+        let (instance_of, label) = match o {
+            HeapObject::Instance { class, .. } => (Some(*class), ""),
+            HeapObject::IntArray(_) => (None, "long[]"),
+            HeapObject::FloatArray(_) => (None, "double[]"),
+            HeapObject::RefArray(_) => (None, "java/lang/Object[]"),
+            HeapObject::Str(_) => (None, "java/lang/String"),
         };
-        self.deliver(thread, |sink, cx, _| {
+        self.deliver(thread, |sink, cx, registry| {
+            let (site_class, site_method, bci) = match site {
+                AllocSite::Bytecode { method, bci } => {
+                    let rc = registry.get(method.class);
+                    (
+                        rc.name.as_str(),
+                        rc.methods[method.index as usize].name(),
+                        bci,
+                    )
+                }
+                AllocSite::Named { class, method } => (class, method, 0),
+            };
             sink.allocation(
                 cx,
                 AllocationView {
-                    class_name: &class_name,
+                    class_name: instance_of.map_or(label, |c| registry.get(c).name.as_str()),
                     bytes,
                     site_class,
                     site_method,
@@ -1021,7 +1006,14 @@ impl Vm {
         }
         // Exception objects are allocations too: attributed to a synthetic
         // `<throw>` site on the thrown class (no bytecode site exists).
-        self.fire_allocation(thread, obj, class, "<throw>", 0);
+        self.fire_allocation(
+            thread,
+            obj,
+            AllocSite::Named {
+                class,
+                method: "<throw>",
+            },
+        );
         JThrow::new(obj)
     }
 
@@ -1231,15 +1223,5 @@ impl Vm {
 
     pub(crate) fn loaded_libraries(&self) -> &[NativeLibrary] {
         &self.loaded_libraries
-    }
-
-    /// Cached binding: the function plus whether its library is exempt
-    /// from fault injection (agent instrumentation infrastructure).
-    pub(crate) fn native_binding(&self, mid: MethodId) -> Option<(NativeFn, bool)> {
-        self.native_bindings.get(&mid).cloned()
-    }
-
-    pub(crate) fn cache_native_binding(&mut self, mid: MethodId, f: NativeFn, fault_exempt: bool) {
-        self.native_bindings.insert(mid, (f, fault_exempt));
     }
 }
